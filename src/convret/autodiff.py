@@ -2,12 +2,21 @@
 
 Tensors are immutable float64 arrays of rank <= 2. Operations optionally
 record onto an explicit ``Tape``; ``backward`` replays the tape in reverse
-to produce gradients for every leaf that requires them. The arithmetic op
-set is deliberately small (matmul, dot, add/sub/mul, scalar mul, exp, log,
-sigmoid, softmax, concat, mean, max-subtract); everything else in the
-package is composed from it, plus a few gradient-identity structural ops
-(reshape, transpose, row/element slicing) and ``rows_mean``, a sparse
-specialization of multiplying an embedding matrix by a one-hot mean row.
+to produce gradients for every leaf that requires them, dropping each
+intermediate gradient as soon as its op has passed it on. The primitives:
+
+- arithmetic: matmul, dot, add/sub/mul, scalar ``scale``, exp, log,
+  sigmoid, tanh, softmax (of a vector), mean, max-subtract;
+- row-wise: ``add_rows`` and ``scale_rows`` (broadcast a vector over the
+  rows of a matrix), ``masked_softmax`` (softmax of each row over a mask)
+  and ``logsumexp`` (over the last axis, so per row for a matrix);
+- structural, gradients routed unchanged: concat, reshape, transpose,
+  row/element slicing, ``gather`` (rows or entries by an index array) and
+  ``diag``;
+- ``segment_mean``: the mean of table rows per id segment, a sparse
+  product of an embedding matrix with normalized one-hot count rows.
+
+Everything else in the package is composed from these.
 """
 
 from __future__ import annotations
@@ -18,9 +27,9 @@ from .errors import ContractError, DimensionError, EvaluationError
 
 
 class Tensor:
-    """Immutable float64 array with shape, grad flag and last tape handle."""
+    """Immutable float64 array with a gradient flag."""
 
-    __slots__ = ("values", "requires_grad", "node_id")
+    __slots__ = ("values", "requires_grad")
 
     def __init__(self, values, requires_grad: bool = False):
         arr = np.asarray(values, dtype=np.float64, order="C")
@@ -29,7 +38,6 @@ class Tensor:
         self.values = arr if arr.flags.c_contiguous else np.ascontiguousarray(arr)
         self.values.flags.writeable = False
         self.requires_grad = requires_grad
-        self.node_id: int | None = None
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -79,7 +87,6 @@ class Tape:
             self.nodes.append(_Node("leaf", (), (), nid))
             self._ids[id(t)] = nid
             self._tensors[nid] = t
-            t.node_id = nid
         return nid
 
     def _record(self, op: str, inputs: tuple[Tensor, ...], saved: tuple, out: Tensor) -> None:
@@ -88,7 +95,6 @@ class Tape:
         self.nodes.append(_Node(op, in_ids, saved, nid))
         self._ids[id(out)] = nid
         self._tensors[nid] = out
-        out.node_id = nid
 
     def node_of(self, t: Tensor) -> int | None:
         """Node id of a tensor on this tape, or None if never recorded here."""
@@ -233,19 +239,111 @@ def element(v: Tensor, i: int, tape: Tape | None = None) -> Tensor:
     return _emit(tape, "element", (v,), (int(i), v.shape), v.values[i])
 
 
-def rows_mean(table: Tensor, ids: list[int], tape: Tape | None = None) -> Tensor:
-    """Mean of the given rows of a matrix (duplicates count multiply).
+def gather(a: Tensor, idx, tape: Tape | None = None) -> Tensor:
+    """``a[idx]`` for an integer index array: rows of a matrix for a 1-D
+    index, entries of a vector for a 1-D or 2-D one. Repeats are allowed."""
+    idx = np.asarray(idx, dtype=np.intp)
+    if a.values.ndim == 0 or a.values.ndim + idx.ndim - 1 > 2:
+        raise DimensionError(f"gather of shape {a.shape} by index rank {idx.ndim}")
+    return _emit(tape, "gather", (a,), (idx, a.shape), a.values[idx])
 
-    Equivalent to multiplying the table by a normalized one-hot count row;
-    implemented sparsely so the backward pass touches only the used rows.
+
+def diag(a: Tensor, tape: Tape | None = None) -> Tensor:
+    """Diagonal of a square matrix."""
+    if a.values.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise DimensionError(f"diag needs a square matrix, got shape {a.shape}")
+    return _emit(tape, "diag", (a,), (a.shape,), np.diagonal(a.values).copy())
+
+
+SEGMENT_CHUNK = 1024  # tokens gathered at once inside segment_mean
+
+
+def _segment_chunks(offsets: np.ndarray) -> list[tuple[int, int]]:
+    """(first, end) segment ranges covering about SEGMENT_CHUNK tokens each."""
+    n = offsets.size - 1
+    if offsets[-1] <= SEGMENT_CHUNK:
+        return [(0, n)]
+    chunks, first = [], 0
+    while first < n:
+        end = int(np.searchsorted(offsets, offsets[first] + SEGMENT_CHUNK,
+                                  side="right")) - 1
+        end = min(max(end, first + 1), n)
+        chunks.append((first, end))
+        first = end
+    return chunks
+
+
+def segment_mean(table: Tensor, ids, offsets, tape: Tape | None = None) -> Tensor:
+    """Row i is the mean of ``table[ids[offsets[i]:offsets[i + 1]]]``.
+
+    Equivalent to multiplying the table by a matrix of normalized one-hot
+    count rows; computed sparsely in token chunks, so neither pass builds
+    the full tokens x d gather and the backward pass touches only used rows.
     """
     if table.values.ndim != 2:
-        raise DimensionError("rows_mean needs a matrix")
-    if not ids:
-        raise DimensionError("rows_mean of an empty id list")
-    idx = np.asarray(ids, dtype=np.intp)
-    out = table.values[idx].mean(axis=0)
-    return _emit(tape, "rows_mean", (table,), (idx, table.shape), out)
+        raise DimensionError("segment_mean needs a matrix")
+    ids = np.asarray(ids, dtype=np.intp)
+    offsets = np.asarray(offsets, dtype=np.intp)
+    if offsets.ndim != 1 or offsets.size < 2 or offsets[0] != 0 \
+            or offsets[-1] != ids.size:
+        raise DimensionError("segment offsets must run from 0 to len(ids)")
+    counts = offsets[1:] - offsets[:-1]
+    if counts.min() < 1:
+        raise DimensionError("segment_mean of an empty segment")
+    out = np.empty((counts.size, table.shape[1]))
+    for first, end in _segment_chunks(offsets):
+        lo = offsets[first]
+        rows = table.values[ids[lo:offsets[end]]]
+        out[first:end] = np.add.reduceat(rows, offsets[first:end] - lo, axis=0)
+    out /= counts[:, None]
+    return _emit(tape, "segment_mean", (table,), (ids, offsets, table.shape), out)
+
+
+def add_rows(a: Tensor, v: Tensor, tape: Tape | None = None) -> Tensor:
+    """Add the vector ``v`` to every row of the matrix ``a``."""
+    if a.values.ndim != 2 or v.shape != (a.shape[1],):
+        raise DimensionError(f"add_rows: shapes {a.shape} and {v.shape}")
+    return _emit(tape, "add_rows", (a, v), (), a.values + v.values)
+
+
+def scale_rows(a: Tensor, v: Tensor, tape: Tape | None = None) -> Tensor:
+    """Multiply row i of the matrix ``a`` by ``v[i]``."""
+    if a.values.ndim != 2 or v.shape != (a.shape[0],):
+        raise DimensionError(f"scale_rows: shapes {a.shape} and {v.shape}")
+    return _emit(tape, "scale_rows", (a, v), (a.values, v.values),
+                 a.values * v.values[:, None])
+
+
+def tanh(a: Tensor, tape: Tape | None = None) -> Tensor:
+    out = np.tanh(a.values)
+    return _emit(tape, "tanh", (a,), (out,), out)
+
+
+def masked_softmax(a: Tensor, mask, tape: Tape | None = None) -> Tensor:
+    """Softmax of each matrix row over its entries where ``mask`` is true;
+    masked-out entries are exactly zero. Every row needs a true entry."""
+    mask = np.asarray(mask, dtype=bool)
+    if a.values.ndim != 2 or mask.shape != a.shape:
+        raise DimensionError(f"masked_softmax: shapes {a.shape} and {mask.shape}")
+    if not np.all(mask.any(axis=1)):
+        raise DimensionError("masked_softmax of a fully masked row")
+    shifted = np.where(mask, a.values, -np.inf)
+    shifted -= shifted.max(axis=1, keepdims=True)
+    e = np.exp(shifted)
+    out = e / e.sum(axis=1, keepdims=True)
+    return _emit(tape, "masked_softmax", (a,), (out,), out)
+
+
+def logsumexp(a: Tensor, tape: Tape | None = None) -> Tensor:
+    """log(sum(exp(a))) over the last axis, max-shifted for stability: a
+    scalar for a vector, one value per row for a matrix."""
+    if a.values.ndim == 0 or a.shape[-1] < 1:
+        raise DimensionError(f"logsumexp needs non-empty rows, got shape {a.shape}")
+    m = a.values.max(axis=-1, keepdims=True)
+    e = np.exp(a.values - m)
+    total = e.sum(axis=-1, keepdims=True)
+    out = (np.log(total) + m)[..., 0]
+    return _emit(tape, "logsumexp", (a,), (e / total,), out)
 
 
 # ---------------------------------------------------------------------------
@@ -255,18 +353,6 @@ def rows_mean(table: Tensor, ids: list[int], tape: Tape | None = None) -> Tensor
 def vsum(v: Tensor, tape: Tape | None = None) -> Tensor:
     """Sum of a vector: mean scaled by length."""
     return scale(mean(v, tape), v.shape[0], tape)
-
-
-def tanh(a: Tensor, tape: Tape | None = None) -> Tensor:
-    """tanh(x) = 2*sigmoid(2x) - 1, composed from the primitive set."""
-    s = sigmoid(scale(a, 2.0, tape), tape)
-    return sub(scale(s, 2.0, tape), Tensor(np.ones(a.shape)), tape)
-
-
-def logsumexp(v: Tensor, tape: Tape | None = None) -> Tensor:
-    """log(sum(exp(v))) with max-subtraction for stability."""
-    shifted, m = max_subtract(v, tape)
-    return add(log(vsum(exp(shifted, tape), tape), tape), scalar(m), tape)
 
 
 def stack(vectors: list[Tensor], tape: Tape | None = None) -> Tensor:
@@ -287,12 +373,12 @@ def _acc(store: dict, nid: int, g: np.ndarray) -> None:
         buf += g
 
 
-def _acc_rows(store: dict, nid: int, shape: tuple, idx: np.ndarray, g_row: np.ndarray) -> None:
+def _zeros_at(store: dict, nid: int, shape: tuple) -> np.ndarray:
+    """The gradient buffer of a node, created as zeros for scattered writes."""
     buf = store.get(nid)
     if buf is None:
-        buf = np.zeros(shape)
-        store[nid] = buf
-    np.add.at(buf, idx, g_row)
+        buf = store[nid] = np.zeros(shape)
+    return buf
 
 
 def _reduce_to(g: np.ndarray, shape: tuple) -> np.ndarray:
@@ -383,27 +469,58 @@ def _vjp_transpose(node, g, store):
     _acc(store, node.inputs[0], g.T)
 
 
-def _vjp_row(node, g, store):
+def _vjp_index(node, g, store):
     i, shape = node.saved
-    buf = store.get(node.inputs[0])
-    if buf is None:
-        buf = np.zeros(shape)
-        store[node.inputs[0]] = buf
-    buf[i] += g
+    _zeros_at(store, node.inputs[0], shape)[i] += g
 
 
-def _vjp_element(node, g, store):
-    i, shape = node.saved
-    buf = store.get(node.inputs[0])
-    if buf is None:
-        buf = np.zeros(shape)
-        store[node.inputs[0]] = buf
-    buf[i] += g
-
-
-def _vjp_rows_mean(node, g, store):
+def _vjp_gather(node, g, store):
     idx, shape = node.saved
-    _acc_rows(store, node.inputs[0], shape, idx, g / idx.size)
+    np.add.at(_zeros_at(store, node.inputs[0], shape), idx, g)
+
+
+def _vjp_diag(node, g, store):
+    (shape,) = node.saved
+    buf = _zeros_at(store, node.inputs[0], shape)
+    buf[np.diag_indices(shape[0])] += g
+
+
+def _vjp_segment_mean(node, g, store):
+    ids, offsets, shape = node.saved
+    counts = offsets[1:] - offsets[:-1]
+    g = g / counts[:, None]
+    cols = np.arange(shape[1])
+    for first, end in _segment_chunks(offsets):
+        per_token = np.repeat(g[first:end], counts[first:end], axis=0)
+        # scatter-add by flat (id, column) index: one bincount beats np.add.at
+        flat = (ids[offsets[first]:offsets[end], None] * shape[1] + cols).ravel()
+        _acc(store, node.inputs[0], np.bincount(
+            flat, per_token.ravel(), shape[0] * shape[1]).reshape(shape))
+
+
+def _vjp_add_rows(node, g, store):
+    _acc(store, node.inputs[0], g)
+    _acc(store, node.inputs[1], g.sum(axis=0))
+
+
+def _vjp_scale_rows(node, g, store):
+    av, vv = node.saved
+    _acc(store, node.inputs[0], g * vv[:, None])
+    _acc(store, node.inputs[1], np.einsum("ij,ij->i", g, av))
+
+
+def _vjp_tanh(node, g, store):
+    t = node.saved[0]
+    _acc(store, node.inputs[0], g * (1.0 - t * t))
+
+
+def _vjp_masked_softmax(node, g, store):
+    s = node.saved[0]
+    _acc(store, node.inputs[0], s * (g - np.einsum("ij,ij->i", g, s)[:, None]))
+
+
+def _vjp_logsumexp(node, g, store):
+    _acc(store, node.inputs[0], np.asarray(g)[..., None] * node.saved[0])
 
 
 _VJP = {
@@ -422,9 +539,16 @@ _VJP = {
     "max_subtract": _vjp_max_subtract,
     "reshape": _vjp_reshape,
     "transpose": _vjp_transpose,
-    "row": _vjp_row,
-    "element": _vjp_element,
-    "rows_mean": _vjp_rows_mean,
+    "row": _vjp_index,
+    "element": _vjp_index,
+    "gather": _vjp_gather,
+    "diag": _vjp_diag,
+    "segment_mean": _vjp_segment_mean,
+    "add_rows": _vjp_add_rows,
+    "scale_rows": _vjp_scale_rows,
+    "tanh": _vjp_tanh,
+    "masked_softmax": _vjp_masked_softmax,
+    "logsumexp": _vjp_logsumexp,
 }
 
 
@@ -443,7 +567,9 @@ def backward(tape: Tape, output: Tensor) -> dict[int, Tensor]:
     for node in reversed(tape.nodes):
         if node.op == "leaf":
             continue
-        g = store.get(node.out_id)
+        # an op's output gradient is final once every later node has run,
+        # and nothing reads it after its own VJP
+        g = store.pop(node.out_id, None)
         if g is None:
             continue
         _VJP[node.op](node, g, store)

@@ -336,7 +336,8 @@ def sample_pool(ex: RetrievalExample, corpus: Corpus, pool_size: int,
     if semi is not None and len(chosen) < pool_size:
         chosen.append(semi)
     rng = derive_rng(seed, "pool", ex.dialogue_id, ex.query_turn_index, ex.task.value)
-    rest = [cid for cid in pool if cid not in set(chosen)]
+    taken = set(chosen)
+    rest = [cid for cid in pool if cid not in taken]
     fill = pool_size - len(chosen)
     if fill:
         picks = rng.choice(len(rest), size=fill, replace=False)

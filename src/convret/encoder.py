@@ -4,12 +4,17 @@ An input is rendered as [CLS, lead-token] ++ word ids, where the lead token
 marks the speaker role for utterances or the retrieval task for candidates.
 The encoder is an embedding mean followed by one linear layer with tanh:
 small enough to train in seconds, while both towers stay behind this
-interface so a heavier encoder could replace them.
+interface so a heavier encoder could replace them. ``encode_batch`` encodes
+many sequences as the rows of one matrix; the single-item functions are its
+one-row case.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
+
+import numpy as np
 
 from . import autodiff as ad
 from .corpus import (CLS_ID, KNOWLEDGE_ID, PERSONA_ID, RESPONSE_ID, SYS_ID,
@@ -66,33 +71,58 @@ def tokenize(text: str, vocab: dict[str, int], max_len: int) -> list[int]:
     return [vocab.get(tok, UNK_ID) for tok in text.split()[:max_len]]
 
 
+def encode_batch(seqs: list[list[int]], params: EncoderParams,
+                 tape: ad.Tape | None = None,
+                 positions: list[int] | None = None) -> ad.Tensor:
+    """Rows tanh(W . mean(embed(ids)) + b), one per id sequence, as an N x d
+    matrix; with ``positions`` (one per row) and an enabled position table,
+    each row's position vector is added to its mean first."""
+    offsets = list(itertools.accumulate(map(len, seqs), initial=0))
+    ids = np.fromiter(itertools.chain.from_iterable(seqs), np.intp, offsets[-1])
+    m = ad.segment_mean(params.embedding, ids, offsets, tape)
+    if params.position is not None and positions is not None:
+        idx = np.minimum(positions, params.position.shape[0] - 1)
+        m = ad.add(m, ad.gather(params.position, idx, tape), tape)
+    z = ad.matmul(m, ad.transpose(params.ff_weight, tape), tape)
+    return ad.tanh(ad.add_rows(z, params.ff_bias, tape), tape)
+
+
 def encode_ids(ids: list[int], params: EncoderParams,
                tape: ad.Tape | None = None,
                position: int | None = None) -> ad.Tensor:
-    """tanh(W . mean(embed(ids)) + b); adds a position vector when enabled."""
-    m = ad.rows_mean(params.embedding, ids, tape)
-    if params.position is not None and position is not None:
-        idx = min(position, params.position.shape[0] - 1)
-        m = ad.add(m, ad.row(params.position, idx, tape), tape)
-    z = ad.add(ad.matmul(params.ff_weight, m, tape), params.ff_bias, tape)
-    return ad.tanh(z, tape)
+    """One sequence through ``encode_batch``, as a vector."""
+    rows = encode_batch([ids], params, tape,
+                        None if position is None else [position])
+    return ad.reshape(rows, (params.dim,), tape)
+
+
+def text_ids(text: str, lead_id: int, vocab: dict[str, int],
+             max_len: int) -> list[int]:
+    """[CLS, lead] followed by the text's token ids."""
+    return [CLS_ID, lead_id] + tokenize(text, vocab, max_len)
+
+
+def utterance_ids(u: Utterance, vocab: dict[str, int]) -> list[int]:
+    return text_ids(u.text, ROLE_TOKEN[u.role], vocab, MAX_UTTERANCE_TOKENS)
+
+
+def candidate_ids(c: Candidate, vocab: dict[str, int]) -> list[int]:
+    return text_ids(c.text, TASK_TOKEN[c.task], vocab, MAX_CANDIDATE_TOKENS)
 
 
 def encode_text(text: str, lead_id: int, params: EncoderParams,
                 tape: ad.Tape | None = None, max_len: int = MAX_UTTERANCE_TOKENS,
                 position: int | None = None) -> ad.Tensor:
-    return encode_ids([CLS_ID, lead_id] + tokenize(text, params.vocab, max_len),
+    return encode_ids(text_ids(text, lead_id, params.vocab, max_len),
                       params, tape, position)
 
 
 def encode_utterance(u: Utterance, params: EncoderParams,
                      tape: ad.Tape | None = None,
                      position: int | None = None) -> ad.Tensor:
-    return encode_text(u.text, ROLE_TOKEN[u.role], params, tape,
-                       MAX_UTTERANCE_TOKENS, position)
+    return encode_ids(utterance_ids(u, params.vocab), params, tape, position)
 
 
 def encode_candidate(c: Candidate, params: EncoderParams,
                      tape: ad.Tape | None = None) -> ad.Tensor:
-    return encode_text(c.text, TASK_TOKEN[c.task], params, tape,
-                       MAX_CANDIDATE_TOKENS)
+    return encode_ids(candidate_ids(c, params.vocab), params, tape)

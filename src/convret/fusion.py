@@ -18,9 +18,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .corpus import CLS_ID, Dialogue, derive_rng, split_sessions
+from .corpus import CLS_ID, Dialogue, Utterance, derive_rng, split_sessions
 from .encoder import (MAX_CANDIDATE_TOKENS, MAX_UTTERANCE_TOKENS, ROLE_TOKEN,
-                      EncoderParams, encode_ids, encode_utterance, tokenize)
+                      EncoderParams, encode_batch, encode_ids,
+                      encode_utterance, tokenize, utterance_ids)
 from .errors import ConfigError, ContractError
 
 
@@ -79,19 +80,6 @@ def topk_indices(scores: np.ndarray, k: int) -> list[int]:
     return sorted(int(i) for i in order)
 
 
-def select_prev_topk(h_query: ad.Tensor, prev: list[ad.Tensor],
-                     k: int) -> list[ad.Tensor]:
-    """Hard selection of the k previous encodings most similar to the query,
-    returned in original dialogue order. Not differentiated: gradients flow
-    only through the selected vectors downstream."""
-    if not prev:
-        if k < 1:
-            raise ContractError(f"k must be at least 1, got {k}")
-        return []
-    scores = np.array([float(np.dot(h_query.values, p.values)) for p in prev])
-    return [prev[i] for i in topk_indices(scores, k)]
-
-
 def attend(h_query: ad.Tensor, H_hist: list[ad.Tensor],
            tape: ad.Tape | None = None) -> ad.Tensor:
     """Scaled dot-product attention of the query over history vectors."""
@@ -116,6 +104,16 @@ def gate_fuse(h_hist: ad.Tensor, h_query: ad.Tensor, params: FusionParams,
     return h_d, lam
 
 
+def _concat_ids(utts: list[Utterance], vocab: dict[str, int]) -> list[int]:
+    """The whole dialogue as one sequence: CLS, then each utterance's role
+    token and words, truncated at the candidate length."""
+    ids = [CLS_ID]
+    for utt in utts:
+        ids.append(ROLE_TOKEN[utt.role])
+        ids.extend(tokenize(utt.text, vocab, MAX_UTTERANCE_TOKENS))
+    return ids[:MAX_CANDIDATE_TOKENS]
+
+
 def _mean_of(vectors: list[ad.Tensor], tape) -> ad.Tensor:
     if len(vectors) == 1:
         return vectors[0]
@@ -136,11 +134,7 @@ def encode_context(d: Dialogue, query_turn: int, mode: ContextMode,
     prev, curr, last = split_sessions(d, query_turn)
 
     if mode.kind is ModeKind.FULL_CONCAT:
-        ids = [CLS_ID]
-        for utt in prev + curr + [last]:
-            ids.append(ROLE_TOKEN[utt.role])
-            ids.extend(tokenize(utt.text, enc.vocab, MAX_UTTERANCE_TOKENS))
-        return encode_ids(ids[:MAX_CANDIDATE_TOKENS], enc, tape)
+        return encode_ids(_concat_ids(prev + curr + [last], enc.vocab), enc, tape)
 
     pos = (lambda u: u.turn_index) if enc.position is not None else (lambda u: None)
     h_ut = encode_utterance(last, enc, tape, position=pos(last))
@@ -169,3 +163,96 @@ def encode_context(d: Dialogue, query_turn: int, mode: ContextMode,
     h_hist = attend(h_ut, H_hist, tape)
     h_d, _ = gate_fuse(h_hist, h_ut, fusion, tape)
     return h_d
+
+
+def encode_contexts(queries: list[tuple[Dialogue, int]], mode: ContextMode,
+                    enc: EncoderParams, fusion: FusionParams,
+                    tape: ad.Tape | None = None,
+                    frozen_selection: list[list[int]] | None = None) -> ad.Tensor:
+    """``encode_context`` for a batch of (dialogue, query turn) pairs, as
+    the rows of one B x d matrix built from matrix ops.
+
+    Every distinct utterance (keyed by dialogue and turn) is encoded once.
+    Previous-session utterances are scored off-tape and only the chosen
+    ones are encoded on the tape. Attention is a masked row-softmax over
+    the B x N scores against all encoded utterances; a context without
+    history attends to its own query row alone, which returns the query
+    encoding unchanged through the gate. ``frozen_selection`` gives each
+    context's pinned previous-turn indices.
+    """
+    splits = [split_sessions(d, t) for d, t in queries]
+    if mode.kind is ModeKind.FULL_CONCAT:
+        return encode_batch([_concat_ids(p + c + [q], enc.vocab)
+                             for p, c, q in splits], enc, tape)
+
+    if mode.kind is not ModeKind.ADAPTIVE:
+        chosen = [[] for _ in splits]
+    elif frozen_selection is not None:
+        chosen = [list(sel) for sel in frozen_selection]
+    else:
+        chosen = _select_prev(queries, splits, mode.k, enc)
+
+    table = _UtteranceTable()
+    q_rows, hist_rows = [], []
+    for (d, _), (prev, curr, last), sel in zip(queries, splits, chosen):
+        q_rows.append(table.row(d, last))
+        if mode.kind is ModeKind.MEAN_ALL:
+            hist_rows.append([table.row(d, u) for u in prev + curr + [last]])
+        else:
+            hist_rows.append([table.row(d, prev[i]) for i in sel]
+                             + [table.row(d, u) for u in curr])
+    U = table.encode(enc, tape)
+
+    b, n = len(queries), len(table.utts)
+    if mode.kind is ModeKind.MEAN_ALL:
+        weights = np.zeros((b, n))
+        for i, hist in enumerate(hist_rows):
+            weights[i, hist] = 1.0 / len(hist)
+        return ad.matmul(ad.Tensor(weights), U, tape)
+
+    mask = np.zeros((b, n), dtype=bool)
+    for i, hist in enumerate(hist_rows):
+        mask[i, hist or [q_rows[i]]] = True
+    dim = enc.dim
+    Q = ad.gather(U, q_rows, tape)
+    scores = ad.scale(ad.matmul(Q, ad.transpose(U, tape), tape),
+                      1.0 / math.sqrt(dim), tape)
+    H = ad.matmul(ad.masked_softmax(scores, mask, tape), U, tape)
+    # lambda = sigmoid(w . [h_hist; h_query]); h = h_query + lambda (h_hist - h_query)
+    w_hist = ad.gather(fusion.gate_w, np.arange(dim), tape)
+    w_query = ad.gather(fusion.gate_w, np.arange(dim, 2 * dim), tape)
+    lam = ad.sigmoid(ad.add(ad.matmul(H, w_hist, tape),
+                            ad.matmul(Q, w_query, tape), tape), tape)
+    return ad.add(Q, ad.scale_rows(ad.sub(H, Q, tape), lam, tape), tape)
+
+
+class _UtteranceTable:
+    """Distinct utterances in first-seen order, keyed by (dialogue, turn)."""
+
+    def __init__(self):
+        self.rows: dict[tuple[str, int], int] = {}
+        self.utts: list[Utterance] = []
+
+    def row(self, d: Dialogue, u: Utterance) -> int:
+        key = (d.dialogue_id, u.turn_index)
+        if key not in self.rows:
+            self.rows[key] = len(self.utts)
+            self.utts.append(u)
+        return self.rows[key]
+
+    def encode(self, enc: EncoderParams, tape: ad.Tape | None) -> ad.Tensor:
+        return encode_batch([utterance_ids(u, enc.vocab) for u in self.utts],
+                            enc, tape, [u.turn_index for u in self.utts])
+
+
+def _select_prev(queries, splits, k: int, enc: EncoderParams) -> list[list[int]]:
+    """Top-k previous-utterance indices per context, scored off-tape with
+    every distinct query and previous utterance encoded once."""
+    table = _UtteranceTable()
+    picks = [([table.row(d, u) for u in prev], table.row(d, last)) if prev else None
+             for (d, _), (prev, _, last) in zip(queries, splits)]
+    if not table.utts:
+        return [[] for _ in splits]
+    U = table.encode(enc, None).values
+    return [[] if pick is None else topk_indices(U[pick[0]] @ U[pick[1]], k)
+            for pick in picks]

@@ -61,10 +61,7 @@ def batch_similarities(cross: ad.Tensor, semi: ad.Tensor, easy: ad.Tensor,
                        semi_present: np.ndarray,
                        tape: ad.Tape | None = None) -> BatchSimilarities:
     """Build BatchSimilarities deriving pos from the cross diagonal on-tape."""
-    b = cross.shape[0]
-    pos = ad.concat([ad.element(ad.row(cross, i, tape), i, tape)
-                     for i in range(b)], tape)
-    return BatchSimilarities(pos, cross, semi, easy,
+    return BatchSimilarities(ad.diag(cross, tape), cross, semi, easy,
                              np.asarray(semi_present, dtype=bool))
 
 
@@ -82,32 +79,30 @@ class LossConfig:
 def historical_contrastive_loss(s: BatchSimilarities,
                                 tape: ad.Tape | None = None) -> ad.Tensor:
     """Mean over the batch of -log softmax(own positive | in-batch positives
-    plus the example's own negative)."""
-    losses = []
-    for i in range(s.batch_size):
-        row = ad.row(s.cross, i, tape)
-        neg_src = s.semi if s.semi_present[i] else s.easy
-        logits = ad.concat([row, ad.element(neg_src, i, tape)], tape)
-        losses.append(ad.sub(ad.logsumexp(logits, tape),
-                             ad.element(s.pos, i, tape), tape))
-    return ad.mean(ad.concat(losses, tape), tape)
+    plus the example's own negative): the mean of the row-wise log-sum-exp
+    over [cross | neg] minus pos."""
+    b = s.batch_size
+    # one vector [cross (row-major); semi; easy]; row i of the logits picks
+    # cross row i and then semi[i] or easy[i]
+    flat = ad.concat([ad.reshape(s.cross, (b * b,), tape), s.semi, s.easy], tape)
+    rows = np.arange(b)
+    neg = np.where(s.semi_present, b * b + rows, b * b + b + rows)
+    logits = ad.gather(flat, np.column_stack([rows[:, None] * b + rows, neg]), tape)
+    return ad.mean(ad.sub(ad.logsumexp(logits, tape), s.pos, tape), tape)
 
 
 def pairwise_similarity_loss(s: BatchSimilarities, cfg: LossConfig,
                              tape: ad.Tape | None = None) -> ad.Tensor:
     """Batch-level ordering loss over semi-hard-bearing items; zero if none."""
-    items = [i for i in range(s.batch_size) if s.semi_present[i]]
-    if not items:
+    items = np.flatnonzero(s.semi_present)
+    if items.size == 0:
         return ad.scalar(0.0)
-    g = cfg.gamma
-    terms = [ad.scalar(0.0)]  # the constant 1 inside the log
-    for i in items:
-        terms.append(ad.scale(ad.sub(ad.element(s.easy, i, tape),
-                                     ad.element(s.semi, i, tape), tape), g, tape))
-    for j in items:
-        terms.append(ad.scale(ad.sub(ad.element(s.semi, j, tape),
-                                     ad.element(s.pos, j, tape), tape), g, tape))
-    return ad.logsumexp(ad.concat(terms, tape), tape)
+    b = s.batch_size
+    # [0 (the constant 1 inside the log); easy - semi; semi - pos]
+    diffs = ad.concat([ad.scalar(0.0), ad.sub(s.easy, s.semi, tape),
+                       ad.sub(s.semi, s.pos, tape)], tape)
+    terms = ad.gather(diffs, np.concatenate([[0], 1 + items, 1 + b + items]), tape)
+    return ad.logsumexp(ad.scale(terms, cfg.gamma, tape), tape)
 
 
 def combined_loss(s: BatchSimilarities, cfg: LossConfig,

@@ -20,9 +20,11 @@ import numpy as np
 
 from . import autodiff as ad
 from .corpus import Corpus, TaskKind, derive_rng, semi_hard_id
-from .encoder import EncoderParams, encode_candidate, init_encoder_params
+from .encoder import (EncoderParams, candidate_ids, encode_batch,
+                      init_encoder_params)
 from .errors import CheckpointError, ConfigError, TrainingError
-from .fusion import ContextMode, FusionParams, ModeKind, encode_context, init_fusion_params
+from .fusion import (ContextMode, FusionParams, ModeKind, encode_contexts,
+                     init_fusion_params)
 from .losses import LossConfig, batch_similarities, combined_loss
 
 CHECKPOINT_MAGIC = b"UCR1"
@@ -60,6 +62,10 @@ class TrainConfig:
             raise ConfigError(f"dim {self.dim} is below 1")
         if self.weight_decay < 0:
             raise ConfigError(f"weight_decay {self.weight_decay} is negative")
+        if self.gamma <= 0:
+            raise ConfigError(f"gamma must be positive, got {self.gamma}")
+        if self.positions < 0:
+            raise ConfigError(f"positions {self.positions} is negative")
 
     def loss_config(self) -> LossConfig:
         return LossConfig(gamma=self.gamma, use_hist=self.use_hist,
@@ -156,9 +162,6 @@ class Checkpoint:
     cfg: TrainConfig
     step: int
 
-    def param_names(self) -> list[str]:
-        return list(self.arrays)
-
     def tensors(self) -> dict[str, ad.Tensor]:
         return {k: ad.Tensor(a, requires_grad=True)
                 for k, a in self.arrays.items()}
@@ -224,21 +227,32 @@ def load_checkpoint(path) -> Checkpoint:
             tokens = json.loads(_read_record(fh))
         except json.JSONDecodeError as exc:
             raise CheckpointError(f"corrupt checkpoint header: {exc.msg}") from exc
+        try:
+            declared = [(str(name), [int(n) for n in shape])
+                        for name, shape in header["arrays"]]
+            cfg = TrainConfig.from_dict(header["config"])
+            step = int(header["step"])
+        except (KeyError, TypeError, ValueError, ConfigError) as exc:
+            raise CheckpointError(
+                f"invalid checkpoint header: {type(exc).__name__}: {exc}") from exc
         arrays: dict[str, np.ndarray] = {}
-        for name, shape in header["arrays"]:
+        for name, shape in declared:
             count = int(np.prod(shape)) if shape else 1
             buf = _read_exact(fh, count * 8)
             arrays[name] = np.frombuffer(buf, dtype="<f8").reshape(shape).copy()
         if fh.read(1):
             raise CheckpointError("trailing bytes after declared arrays")
     params = {n: a for n, a in arrays.items() if "." not in n}
+    missing = [f"{kind}.{n}" for n in params for kind in "mv"
+               if f"{kind}.{n}" not in arrays]
+    if missing:
+        raise CheckpointError(f"invalid checkpoint header: no moments {missing}")
     return Checkpoint(
         arrays=params,
         moments_m={n: arrays[f"m.{n}"] for n in params},
         moments_v={n: arrays[f"v.{n}"] for n in params},
         vocab={tok: i for i, tok in enumerate(tokens)},
-        cfg=TrainConfig.from_dict(header["config"]),
-        step=int(header["step"]))
+        cfg=cfg, step=step)
 
 
 # ---------------------------------------------------------------------------
@@ -280,47 +294,82 @@ def steps_per_epoch(corpus: Corpus, cfg: TrainConfig) -> int:
                for exs in _task_examples(corpus, cfg).values())
 
 
-def _easy_negative(corpus: Corpus, ex, epoch: int, seed: int):
-    """Random easy negative: never the positive, never the semi-hard."""
+_PoolOrder = tuple[list[str], dict[str, int]]  # ids in pool order, id -> position
+
+
+def _pool_orders(corpus: Corpus, tasks) -> dict[TaskKind, _PoolOrder]:
+    """Each task's candidate ids in pool order, and each id's position."""
+    orders = {}
+    for t in tasks:
+        ids = list(corpus.pools[t])
+        orders[t] = ids, {cid: i for i, cid in enumerate(ids)}
+    return orders
+
+
+def _easy_negative(ex, epoch: int, seed: int, order: _PoolOrder) -> str:
+    """Id of a random easy negative: never the positive, never the semi-hard.
+
+    Draws uniformly from the pool order with the excluded ids removed,
+    without building that list: the draw indexes the remaining ids and is
+    shifted past each excluded position at or below it.
+    """
+    ids, position = order
     exclude = {ex.positive_id}
     semi = semi_hard_id(ex)
     if semi is not None:
         exclude.add(semi)
-    ids = [cid for cid in corpus.pools[ex.task] if cid not in exclude]
-    if not ids:
+    skipped = sorted(position[cid] for cid in exclude if cid in position)
+    if len(ids) == len(skipped):
         raise ConfigError(f"{ex.task.value} pool has no easy negative available")
     rng = derive_rng(seed, "easy", ex.dialogue_id, ex.query_turn_index, epoch)
-    return corpus.candidate(ex.task, ids[int(rng.integers(len(ids)))])
+    pick = int(rng.integers(len(ids) - len(skipped)))
+    for p in skipped:
+        if pick >= p:
+            pick += 1
+    return ids[pick]
 
 
 def _batch_loss(corpus: Corpus, batch, params: dict[str, ad.Tensor],
                 cfg: TrainConfig, vocab: dict[str, int], epoch: int,
-                tape: ad.Tape):
+                tape: ad.Tape, orders: dict[TaskKind, _PoolOrder],
+                frozen_selection: list[list[int]] | None = None):
+    """The batch's combined loss as one graph: contexts and distinct
+    candidates are encoded as matrices, and every score is an entry of
+    their B x N product."""
     enc = EncoderParams(params["embedding"], params["ff_weight"],
                         params["ff_bias"], vocab, params.get("position"))
     fus = FusionParams(params["gate_w"])
-    contexts, positives, semi_scores, easy_scores, present = [], [], [], [], []
+    contexts = encode_contexts(
+        [(corpus.dialogue(ex.dialogue_id), ex.query_turn_index) for ex in batch],
+        cfg.mode, enc, fus, tape, frozen_selection)
+
+    cols: dict[tuple[TaskKind, str], int] = {}  # (task, id) -> candidate row
+    cands = []
+
+    def col(task: TaskKind, cid: str) -> int:
+        if (task, cid) not in cols:
+            cols[task, cid] = len(cands)
+            cands.append(corpus.candidate(task, cid))
+        return cols[task, cid]
+
+    pos_cols, semi_cols, easy_cols, present = [], [], [], []
     for ex in batch:
-        d = corpus.dialogue(ex.dialogue_id)
-        contexts.append(encode_context(d, ex.query_turn_index, cfg.mode,
-                                       enc, fus, tape))
-        positives.append(encode_candidate(
-            corpus.candidate(ex.task, ex.positive_id), enc, tape))
-    for i, ex in enumerate(batch):
+        pos_cols.append(col(ex.task, ex.positive_id))
         semi = semi_hard_id(ex)
         present.append(semi is not None)
-        if semi is not None:
-            h = encode_candidate(corpus.candidate(ex.task, semi), enc, tape)
-            semi_scores.append(ad.dot(contexts[i], h, tape))
-        else:
-            semi_scores.append(ad.scalar(0.0))
-        easy = _easy_negative(corpus, ex, epoch, cfg.seed)
-        easy_scores.append(ad.dot(contexts[i],
-                                  encode_candidate(easy, enc, tape), tape))
-    cross = ad.matmul(ad.stack(contexts, tape),
-                      ad.transpose(ad.stack(positives, tape), tape), tape)
-    sims = batch_similarities(cross, ad.concat(semi_scores, tape),
-                              ad.concat(easy_scores, tape),
+        # an absent semi-hard score is never read; point it at the positive
+        semi_cols.append(pos_cols[-1] if semi is None else col(ex.task, semi))
+        easy_cols.append(col(ex.task, _easy_negative(ex, epoch, cfg.seed,
+                                                     orders[ex.task])))
+    cand_rows = encode_batch([candidate_ids(c, vocab) for c in cands], enc, tape)
+
+    b, n = len(batch), len(cands)
+    scores = ad.reshape(ad.matmul(contexts, ad.transpose(cand_rows, tape), tape),
+                        (b * n,), tape)
+    base = np.arange(b) * n
+    cross = ad.gather(scores, base[:, None] + np.array(pos_cols)[None, :], tape)
+    sims = batch_similarities(cross, ad.gather(scores, base + semi_cols, tape),
+                              ad.gather(scores, base + easy_cols, tape),
                               np.array(present), tape)
     return combined_loss(sims, cfg.loss_config(), tape)
 
@@ -350,6 +399,7 @@ def train(corpus: Corpus, cfg: TrainConfig, start: Checkpoint | None = None,
                                dict(start.moments_v))
         done = start.step
 
+    orders = _pool_orders(corpus, tasks)
     per_epoch = sum(len(exs) // cfg.batch_size for exs in tasks.values())
     total_steps = cfg.epochs * per_epoch
     history: list[float] = []
@@ -363,7 +413,8 @@ def train(corpus: Corpus, cfg: TrainConfig, start: Checkpoint | None = None,
             if max_steps is not None and performed >= max_steps:
                 break
             tape = ad.Tape()
-            loss = _batch_loss(corpus, batch, params, cfg, vocab, epoch, tape)
+            loss = _batch_loss(corpus, batch, params, cfg, vocab, epoch, tape,
+                               orders)
             value = loss.item()
             if not np.isfinite(value):
                 raise TrainingError(f"non-finite loss at step {step}")

@@ -78,7 +78,7 @@ def test_sigmoid_is_stable_and_matches_formula():
     assert got[0] >= 0.0 and got[4] <= 1.0
 
 
-def test_tanh_composition_matches_numpy():
+def test_tanh_matches_numpy():
     rng = np.random.default_rng(14)
     v = rng.normal(size=(4, 5)) * 3.0
     got = ad.tanh(ad.Tensor(v)).values
@@ -122,12 +122,66 @@ def test_stack_rows():
     np.testing.assert_allclose(s.values, [[1.0, 2.0], [3.0, 4.0]])
 
 
-def test_rows_mean_matches_dense_mean_with_duplicates():
+def test_segment_mean_matches_dense_mean_with_duplicates():
     rng = np.random.default_rng(16)
     table = rng.normal(size=(10, 4))
-    ids = [3, 3, 7, 0]
-    got = ad.rows_mean(ad.Tensor(table), ids).values
-    np.testing.assert_allclose(got, table[ids].mean(axis=0), rtol=1e-12)
+    segments = [[3, 3, 7, 0], [5], [0, 9, 9]]
+    offsets = np.cumsum([0] + [len(seg) for seg in segments])
+    got = ad.segment_mean(ad.Tensor(table), sum(segments, []), offsets).values
+    want = [table[seg].mean(axis=0) for seg in segments]
+    np.testing.assert_allclose(got, want, rtol=1e-12)
+
+
+def test_segment_mean_chunks_give_the_unchunked_result():
+    # several chunks, segments straddling chunk ends, one longer than a chunk
+    rng = np.random.default_rng(21)
+    table = rng.normal(size=(50, 3))
+    lengths = np.append(rng.integers(1, 700, size=8), 1500)
+    ids = rng.integers(0, 50, size=int(lengths.sum()))
+    offsets = np.concatenate([[0], np.cumsum(lengths)])
+    assert offsets[-1] > 3 * ad.SEGMENT_CHUNK
+    tape = ad.Tape()
+    t = ad.Tensor(table, requires_grad=True)
+    probe = rng.normal(size=(9, 3))
+    out = ad.segment_mean(t, ids, offsets, tape)
+    want = [table[ids[a:b]].mean(axis=0) for a, b in zip(offsets, offsets[1:])]
+    np.testing.assert_allclose(out.values, want, rtol=1e-12)
+    loss = ad.mean(ad.reshape(ad.mul(out, ad.Tensor(probe), tape), (27,), tape), tape)
+    grad = ad.backward(tape, loss)[tape.node_of(t)].values
+    dense = np.zeros((9, 50))
+    for i, (a, b) in enumerate(zip(offsets, offsets[1:])):
+        np.add.at(dense[i], ids[a:b], 1.0 / (b - a))
+    np.testing.assert_allclose(grad, dense.T @ probe / 27, rtol=1e-10, atol=1e-15)
+
+
+def test_row_wise_ops_match_numpy():
+    rng = np.random.default_rng(22)
+    m = rng.normal(size=(3, 4)) * 3
+    v4, v3 = rng.normal(size=4), rng.normal(size=3)
+    np.testing.assert_array_equal(ad.add_rows(ad.Tensor(m), ad.Tensor(v4)).values,
+                                  m + v4)
+    np.testing.assert_array_equal(ad.scale_rows(ad.Tensor(m), ad.Tensor(v3)).values,
+                                  m * v3[:, None])
+    np.testing.assert_array_equal(ad.diag(ad.Tensor(m[:, :3])).values,
+                                  np.diagonal(m[:, :3]))
+    np.testing.assert_allclose(ad.logsumexp(ad.Tensor(m)).values,
+                               np.logaddexp.reduce(m, axis=1), rtol=1e-12)
+    mask = np.array([[1, 0, 1, 1], [0, 1, 0, 0], [1, 1, 1, 1]], dtype=bool)
+    got = ad.masked_softmax(ad.Tensor(m), mask).values
+    for i in range(3):
+        e = np.exp(m[i][mask[i]])
+        np.testing.assert_allclose(got[i][mask[i]], e / e.sum(), rtol=1e-12)
+        assert np.all(got[i][~mask[i]] == 0.0)
+    assert got[1, 1] == 1.0  # a single unmasked entry gets exactly all weight
+
+
+def test_gather_rows_and_entries():
+    m = ad.Tensor(np.arange(6.0).reshape(3, 2))
+    np.testing.assert_array_equal(ad.gather(m, [2, 0, 2]).values,
+                                  [[4.0, 5.0], [0.0, 1.0], [4.0, 5.0]])
+    v = ad.Tensor([10.0, 11.0, 12.0])
+    np.testing.assert_array_equal(ad.gather(v, [[2, 0], [1, 1]]).values,
+                                  [[12.0, 10.0], [11.0, 11.0]])
 
 
 # ---------------------------------------------------------------------------
@@ -148,7 +202,17 @@ def test_shape_errors():
     with pytest.raises(DimensionError):
         ad.Tensor(np.zeros((2, 2, 2)))
     with pytest.raises(DimensionError):
-        ad.rows_mean(ad.Tensor(np.zeros((3, 2))), [])
+        ad.segment_mean(ad.Tensor(np.zeros((3, 2))), [1], [0, 1, 1])
+    with pytest.raises(DimensionError):
+        ad.gather(ad.Tensor(np.zeros((3, 2))), [[0, 1]])
+    with pytest.raises(DimensionError):
+        ad.add_rows(ad.Tensor(np.zeros((3, 2))), ad.Tensor(np.zeros(3)))
+    with pytest.raises(DimensionError):
+        ad.scale_rows(ad.Tensor(np.zeros((3, 2))), ad.Tensor(np.zeros(2)))
+    with pytest.raises(DimensionError):
+        ad.diag(ad.Tensor(np.zeros((3, 2))))
+    with pytest.raises(DimensionError):
+        ad.masked_softmax(ad.Tensor(np.zeros((2, 2))), [[True, False], [False, False]])
 
 
 def test_log_of_nonpositive_raises():
@@ -217,6 +281,12 @@ def _shift_and_restore(t, v):
     return ad.add(ad.mean(shifted, t), ad.scalar(m), t)
 
 
+def _weighted(t, out):
+    """A scalar that weighs every output entry differently."""
+    w = np.linspace(-1.0, 2.0, out.values.size).reshape(out.shape)
+    return ad.mean(ad.reshape(ad.mul(out, ad.Tensor(w), t), (out.values.size,), t), t)
+
+
 def _single_op_cases(rng):
     a2 = rand_tensor(rng, (3, 4))
     b2 = rand_tensor(rng, (4, 2))
@@ -252,10 +322,25 @@ def _single_op_cases(rng):
         "structural": ({"a": a2},
                        lambda t, p: ad.element(ad.row(ad.transpose(
                            ad.reshape(p["a"], (4, 3), t), t), 2, t), 1, t)),
-        "rows_mean": ({"e": rand_tensor(rng, (6, 3))},
-                      lambda t, p: ad.mean(ad.rows_mean(p["e"], [0, 2, 2, 5], t), t)),
+        "segment_mean": ({"e": rand_tensor(rng, (6, 3))},
+                         lambda t, p: _weighted(t, ad.segment_mean(
+                             p["e"], [0, 2, 2, 5, 1], [0, 4, 5], t))),
         "tanh": ({"a": v4}, lambda t, p: ad.mean(ad.tanh(p["a"], t), t)),
         "logsumexp": ({"a": v4}, lambda t, p: ad.logsumexp(p["a"], t)),
+        "logsumexp_rows": ({"a": a2},
+                           lambda t, p: _weighted(t, ad.logsumexp(p["a"], t))),
+        "gather_rows": ({"a": a2},
+                        lambda t, p: _weighted(t, ad.gather(p["a"], [2, 0, 2], t))),
+        "gather_entries": ({"a": v4},
+                           lambda t, p: _weighted(t, ad.gather(p["a"], [[3, 0], [3, 3]], t))),
+        "diag": ({"a": rand_tensor(rng, (3, 3))},
+                 lambda t, p: _weighted(t, ad.diag(p["a"], t))),
+        "add_rows": ({"a": a2, "v": v4},
+                     lambda t, p: _weighted(t, ad.add_rows(p["a"], p["v"], t))),
+        "scale_rows": ({"a": a2, "v": v3},
+                       lambda t, p: _weighted(t, ad.scale_rows(p["a"], p["v"], t))),
+        "masked_softmax": ({"a": a2}, lambda t, p: _weighted(t, ad.masked_softmax(
+            p["a"], [[1, 0, 1, 1], [0, 1, 0, 0], [1, 1, 1, 1]], t))),
     }
 
 

@@ -1,6 +1,7 @@
 """Command-line interface tests: JSON contracts, exit codes, determinism."""
 
 import json
+import struct
 
 import pytest
 
@@ -140,6 +141,22 @@ def test_missing_file_fails_with_diagnostic(tmp_path, capsys):
     assert code == 1
     assert stdout == ""
     assert "convret:" in stderr
+
+
+def test_invalid_checkpoint_header_fails_with_diagnostic(tmp_path, capsys):
+    corpus_path, ckpt = pipeline(tmp_path, capsys)
+    blob = ckpt.read_bytes()
+    (n,) = struct.unpack("<I", blob[4:8])
+    header = json.loads(blob[8:8 + n])
+    del header["step"]
+    payload = json.dumps(header).encode()
+    ckpt.write_bytes(blob[:4] + struct.pack("<I", len(payload)) + payload
+                     + blob[8 + n:])
+    code, stdout, stderr = run(capsys, "eval", "--corpus", str(corpus_path),
+                               "--ckpt", str(ckpt), "--task", "persona")
+    assert code == 1
+    assert stdout == ""
+    assert stderr.startswith("convret: invalid checkpoint header")
 
 
 def test_oversized_pool_fails(tmp_path, capsys):

@@ -11,7 +11,7 @@ from convret.encoder import EncoderParams, encode_utterance, init_encoder_params
 from convret.errors import ConfigError, ContractError
 from convret.fusion import (ContextMode, FusionParams, ModeKind, attend,
                             encode_context, gate_fuse, init_fusion_params,
-                            select_prev_topk, topk_indices)
+                            topk_indices)
 
 
 def vec(*xs):
@@ -43,17 +43,12 @@ def dialogue_from(sessions_texts):
 # ---------------------------------------------------------------------------
 
 def test_select_topk_examples():
-    q = vec(1.0, 0.0)
-    prev = [vec(0.9, 0.0), vec(0.1, 0.0), vec(0.5, 0.0)]
-    got = select_prev_topk(q, prev, 2)
-    assert [id(x) for x in got] == [id(prev[0]), id(prev[2])]
-    assert len(select_prev_topk(q, prev, 10)) == 3
-    tied = [vec(0.5, 0.0), vec(0.5, 0.0), vec(0.1, 0.0)]
-    got = select_prev_topk(q, tied, 1)
-    assert [id(x) for x in got] == [id(tied[0])]
-    assert select_prev_topk(q, [], 3) == []
+    assert topk_indices(np.array([0.9, 0.1, 0.5]), 2) == [0, 2]
+    assert len(topk_indices(np.array([0.9, 0.1, 0.5]), 10)) == 3
+    assert topk_indices(np.array([0.5, 0.5, 0.1]), 1) == [0]
+    assert topk_indices(np.array([]), 3) == []
     with pytest.raises(ContractError):
-        select_prev_topk(q, prev, 0)
+        topk_indices(np.array([0.9, 0.1, 0.5]), 0)
 
 
 def test_topk_matches_full_sort_oracle_with_ties():

@@ -1,5 +1,8 @@
 """Optimizer, training loop, and checkpoint round-trip behavior."""
 
+import json
+import struct
+
 import numpy as np
 import pytest
 
@@ -88,6 +91,10 @@ def test_config_validation():
         tiny_train_cfg(batch_size=0)
     with pytest.raises(ConfigError):
         tiny_train_cfg(learning_rate=0.0)
+    with pytest.raises(ConfigError, match="gamma"):
+        tiny_train_cfg(gamma=-1.0)
+    with pytest.raises(ConfigError, match="positions"):
+        tiny_train_cfg(positions=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -163,14 +170,28 @@ def test_full_regime_interleaves_tasks_round_robin():
 
 def test_easy_negative_never_positive_or_semi_hard():
     corpus = tiny_corpus()
-    from convret.training import _easy_negative
-    from convret.corpus import semi_hard_id
+    from convret.training import _easy_negative, _pool_orders
+    from convret.corpus import derive_rng, semi_hard_id
+    orders = _pool_orders(corpus, list(TaskKind))
     for ex in corpus.examples[:40]:
         for epoch in range(3):
-            c = _easy_negative(corpus, ex, epoch, seed=0)
-            assert c.candidate_id != ex.positive_id
-            assert c.candidate_id != semi_hard_id(ex)
-            assert c.task == ex.task
+            cid = _easy_negative(ex, epoch, 0, orders[ex.task])
+            assert cid != ex.positive_id
+            assert cid != semi_hard_id(ex)
+            assert cid in corpus.pools[ex.task]
+            # oracle: the same draw indexing the explicitly filtered list
+            exclude = {ex.positive_id, semi_hard_id(ex)}
+            ids = [c for c in corpus.pools[ex.task] if c not in exclude]
+            rng = derive_rng(0, "easy", ex.dialogue_id, ex.query_turn_index, epoch)
+            assert cid == ids[int(rng.integers(len(ids)))]
+
+
+def test_easy_negative_needs_a_candidate_left():
+    from convret.training import _easy_negative
+    corpus = tiny_corpus()
+    ex = corpus.examples[0]
+    with pytest.raises(ConfigError, match="no easy negative"):
+        _easy_negative(ex, 0, 0, ([ex.positive_id], {ex.positive_id: 0}))
 
 
 # ---------------------------------------------------------------------------
@@ -217,6 +238,28 @@ def test_checkpoint_corruption_and_version_errors(tmp_path):
     extra.write_bytes(blob + b"\x00")
     with pytest.raises(CheckpointError, match="trailing"):
         load_checkpoint(extra)
+    for edit in (_drop_step, _bogus_mode):
+        broken = tmp_path / f"{edit.__name__}.ckpt"
+        broken.write_bytes(edit(blob))
+        with pytest.raises(CheckpointError, match="header"):
+            load_checkpoint(broken)
+
+
+def _edit_header(blob: bytes, edit) -> bytes:
+    """Rewrite a checkpoint's JSON header record, keeping the rest."""
+    (n,) = struct.unpack("<I", blob[4:8])
+    header = json.loads(blob[8:8 + n])
+    edit(header)
+    payload = json.dumps(header).encode()
+    return blob[:4] + struct.pack("<I", len(payload)) + payload + blob[8 + n:]
+
+
+def _drop_step(blob: bytes) -> bytes:
+    return _edit_header(blob, lambda h: h.pop("step"))
+
+
+def _bogus_mode(blob: bytes) -> bytes:
+    return _edit_header(blob, lambda h: h["config"]["mode"].update(kind="bogus"))
 
 
 def test_resume_equals_uninterrupted_run(tmp_path):
