@@ -5,14 +5,13 @@ record onto an explicit ``Tape``; ``backward`` replays the tape in reverse
 to produce gradients for every leaf that requires them, dropping each
 intermediate gradient as soon as its op has passed it on. The primitives:
 
-- arithmetic: matmul, dot, add/sub/mul, scalar ``scale``, exp, log,
-  sigmoid, tanh, softmax (of a vector), mean, max-subtract;
-- row-wise: ``add_rows`` and ``scale_rows`` (broadcast a vector over the
-  rows of a matrix), ``masked_softmax`` (softmax of each row over a mask)
-  and ``logsumexp`` (over the last axis, so per row for a matrix);
+- arithmetic: matmul, dot, add/sub/mul (with numpy broadcasting, so a
+  vector adds to every matrix row and a column scales each row), scalar
+  ``scale``, sigmoid, tanh, softmax (of a vector) and mean;
+- row-wise: ``masked_softmax`` (softmax of each row over a mask) and
+  ``logsumexp`` (over the last axis, so per row for a matrix);
 - structural, gradients routed unchanged: concat, reshape, transpose,
-  row/element slicing, ``gather`` (rows or entries by an index array) and
-  ``diag``;
+  ``gather`` (rows or entries by an index array) and ``diag``;
 - ``segment_mean``: the mean of table rows per id segment, a sparse
   product of an embedding matrix with normalized one-hot count rows.
 
@@ -115,8 +114,10 @@ def _emit(tape: Tape | None, op: str, inputs: tuple[Tensor, ...], saved: tuple,
 # ---------------------------------------------------------------------------
 
 def _binary_shapes(a: Tensor, b: Tensor, op: str) -> None:
-    if a.shape != b.shape and a.shape != () and b.shape != ():
-        raise DimensionError(f"{op}: shapes {a.shape} and {b.shape} differ")
+    """Numpy broadcasting: trailing axes must match or one of them be 1."""
+    for m, n in zip(a.shape[::-1], b.shape[::-1]):
+        if m != n and m != 1 and n != 1:
+            raise DimensionError(f"{op}: shapes {a.shape} and {b.shape} do not broadcast")
 
 
 def add(a: Tensor, b: Tensor, tape: Tape | None = None) -> Tensor:
@@ -130,7 +131,7 @@ def sub(a: Tensor, b: Tensor, tape: Tape | None = None) -> Tensor:
 
 
 def mul(a: Tensor, b: Tensor, tape: Tape | None = None) -> Tensor:
-    """Elementwise product; one side may be a scalar (broadcast)."""
+    """Elementwise product, broadcast like ``add``."""
     _binary_shapes(a, b, "mul")
     return _emit(tape, "mul", (a, b), (a.values, b.values), a.values * b.values)
 
@@ -154,22 +155,6 @@ def dot(a: Tensor, b: Tensor, tape: Tape | None = None) -> Tensor:
     if a.values.ndim != 1 or b.values.ndim != 1 or a.shape != b.shape:
         raise DimensionError(f"dot: shapes {a.shape} and {b.shape}")
     return _emit(tape, "dot", (a, b), (a.values, b.values), np.dot(a.values, b.values))
-
-
-def exp(a: Tensor, tape: Tape | None = None) -> Tensor:
-    with np.errstate(over="ignore"):
-        out = np.exp(a.values)
-    if not np.all(np.isfinite(out)):
-        raise EvaluationError("exp overflow; shift inputs with max_subtract first")
-    return _emit(tape, "exp", (a,), (out,), out)
-
-
-def log(a: Tensor, tape: Tape | None = None) -> Tensor:
-    with np.errstate(divide="ignore", invalid="ignore"):
-        out = np.log(a.values)
-    if not np.all(np.isfinite(out)):
-        raise EvaluationError("log of a non-positive value")
-    return _emit(tape, "log", (a,), (a.values,), out)
 
 
 def sigmoid(a: Tensor, tape: Tape | None = None) -> Tensor:
@@ -207,14 +192,6 @@ def mean(v: Tensor, tape: Tape | None = None) -> Tensor:
     return _emit(tape, "mean", (v,), (v.shape[0],), np.mean(v.values))
 
 
-def max_subtract(v: Tensor, tape: Tape | None = None) -> tuple[Tensor, float]:
-    """Subtract the (detached) maximum; returns the shifted vector and the max."""
-    if v.values.ndim != 1 or v.shape[0] < 1:
-        raise DimensionError(f"max_subtract needs a non-empty vector, got shape {v.shape}")
-    m = float(np.max(v.values))
-    return _emit(tape, "max_subtract", (v,), (), v.values - m), m
-
-
 # structural ops: pure rearrangements, gradients pass through unchanged
 
 def reshape(a: Tensor, shape: tuple[int, ...], tape: Tape | None = None) -> Tensor:
@@ -225,18 +202,6 @@ def transpose(a: Tensor, tape: Tape | None = None) -> Tensor:
     if a.values.ndim != 2:
         raise DimensionError("transpose needs a matrix")
     return _emit(tape, "transpose", (a,), (), a.values.T.copy())
-
-
-def row(a: Tensor, i: int, tape: Tape | None = None) -> Tensor:
-    if a.values.ndim != 2:
-        raise DimensionError("row needs a matrix")
-    return _emit(tape, "row", (a,), (int(i), a.shape), a.values[i].copy())
-
-
-def element(v: Tensor, i: int, tape: Tape | None = None) -> Tensor:
-    if v.values.ndim != 1:
-        raise DimensionError("element needs a vector")
-    return _emit(tape, "element", (v,), (int(i), v.shape), v.values[i])
 
 
 def gather(a: Tensor, idx, tape: Tape | None = None) -> Tensor:
@@ -299,21 +264,6 @@ def segment_mean(table: Tensor, ids, offsets, tape: Tape | None = None) -> Tenso
     return _emit(tape, "segment_mean", (table,), (ids, offsets, table.shape), out)
 
 
-def add_rows(a: Tensor, v: Tensor, tape: Tape | None = None) -> Tensor:
-    """Add the vector ``v`` to every row of the matrix ``a``."""
-    if a.values.ndim != 2 or v.shape != (a.shape[1],):
-        raise DimensionError(f"add_rows: shapes {a.shape} and {v.shape}")
-    return _emit(tape, "add_rows", (a, v), (), a.values + v.values)
-
-
-def scale_rows(a: Tensor, v: Tensor, tape: Tape | None = None) -> Tensor:
-    """Multiply row i of the matrix ``a`` by ``v[i]``."""
-    if a.values.ndim != 2 or v.shape != (a.shape[0],):
-        raise DimensionError(f"scale_rows: shapes {a.shape} and {v.shape}")
-    return _emit(tape, "scale_rows", (a, v), (a.values, v.values),
-                 a.values * v.values[:, None])
-
-
 def tanh(a: Tensor, tape: Tape | None = None) -> Tensor:
     out = np.tanh(a.values)
     return _emit(tape, "tanh", (a,), (out,), out)
@@ -350,11 +300,6 @@ def logsumexp(a: Tensor, tape: Tape | None = None) -> Tensor:
 # composed helpers (no new primitives)
 # ---------------------------------------------------------------------------
 
-def vsum(v: Tensor, tape: Tape | None = None) -> Tensor:
-    """Sum of a vector: mean scaled by length."""
-    return scale(mean(v, tape), v.shape[0], tape)
-
-
 def stack(vectors: list[Tensor], tape: Tape | None = None) -> Tensor:
     """Stack equal-length vectors into a matrix, one per row."""
     d = vectors[0].shape[0]
@@ -382,7 +327,14 @@ def _zeros_at(store: dict, nid: int, shape: tuple) -> np.ndarray:
 
 
 def _reduce_to(g: np.ndarray, shape: tuple) -> np.ndarray:
-    return np.sum(g) if shape == () and np.ndim(g) != 0 else g
+    """Sum a broadcast gradient over the leading and stretched size-1 axes
+    back to the operand's shape."""
+    if g.shape == shape:
+        return g
+    lead = g.ndim - len(shape)
+    axes = tuple(range(lead)) + tuple(lead + i for i, n in enumerate(shape)
+                                      if n == 1 and g.shape[lead + i] != 1)
+    return g.sum(axis=axes).reshape(shape)
 
 
 def _vjp_add(node, g, store):
@@ -426,14 +378,6 @@ def _vjp_dot(node, g, store):
     _acc(store, node.inputs[1], g * av)
 
 
-def _vjp_exp(node, g, store):
-    _acc(store, node.inputs[0], g * node.saved[0])
-
-
-def _vjp_log(node, g, store):
-    _acc(store, node.inputs[0], g / node.saved[0])
-
-
 def _vjp_sigmoid(node, g, store):
     s = node.saved[0]
     _acc(store, node.inputs[0], g * s * (1.0 - s))
@@ -457,21 +401,12 @@ def _vjp_mean(node, g, store):
     _acc(store, node.inputs[0], np.full(n, g / n))
 
 
-def _vjp_max_subtract(node, g, store):
-    _acc(store, node.inputs[0], g)
-
-
 def _vjp_reshape(node, g, store):
     _acc(store, node.inputs[0], g.reshape(node.saved[0]))
 
 
 def _vjp_transpose(node, g, store):
     _acc(store, node.inputs[0], g.T)
-
-
-def _vjp_index(node, g, store):
-    i, shape = node.saved
-    _zeros_at(store, node.inputs[0], shape)[i] += g
 
 
 def _vjp_gather(node, g, store):
@@ -498,17 +433,6 @@ def _vjp_segment_mean(node, g, store):
             flat, per_token.ravel(), shape[0] * shape[1]).reshape(shape))
 
 
-def _vjp_add_rows(node, g, store):
-    _acc(store, node.inputs[0], g)
-    _acc(store, node.inputs[1], g.sum(axis=0))
-
-
-def _vjp_scale_rows(node, g, store):
-    av, vv = node.saved
-    _acc(store, node.inputs[0], g * vv[:, None])
-    _acc(store, node.inputs[1], np.einsum("ij,ij->i", g, av))
-
-
 def _vjp_tanh(node, g, store):
     t = node.saved[0]
     _acc(store, node.inputs[0], g * (1.0 - t * t))
@@ -530,22 +454,15 @@ _VJP = {
     "scale": _vjp_scale,
     "matmul": _vjp_matmul,
     "dot": _vjp_dot,
-    "exp": _vjp_exp,
-    "log": _vjp_log,
     "sigmoid": _vjp_sigmoid,
     "softmax": _vjp_softmax,
     "concat": _vjp_concat,
     "mean": _vjp_mean,
-    "max_subtract": _vjp_max_subtract,
     "reshape": _vjp_reshape,
     "transpose": _vjp_transpose,
-    "row": _vjp_index,
-    "element": _vjp_index,
     "gather": _vjp_gather,
     "diag": _vjp_diag,
     "segment_mean": _vjp_segment_mean,
-    "add_rows": _vjp_add_rows,
-    "scale_rows": _vjp_scale_rows,
     "tanh": _vjp_tanh,
     "masked_softmax": _vjp_masked_softmax,
     "logsumexp": _vjp_logsumexp,

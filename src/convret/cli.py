@@ -172,16 +172,15 @@ def _cmd_eval(args) -> None:
 def _cmd_sweep_pool(args) -> None:
     corpus = load_corpus(args.corpus)
     ck = load_checkpoint(args.ckpt)
-    sizes = args.sizes if isinstance(args.sizes, list) else _csv_ints(args.sizes)
-    reports = pool_size_sweep(corpus, ck, _task_arg(args.task), sizes, args.seed)
+    reports = pool_size_sweep(corpus, ck, _task_arg(args.task), args.sizes,
+                              args.seed)
     _emit([r.to_dict() for r in reports])
 
 
 def _cmd_sweep_k(args) -> None:
     corpus = load_corpus(args.corpus)
     ck = load_checkpoint(args.ckpt)
-    ks = args.ks if isinstance(args.ks, list) else _csv_ints(args.ks)
-    reports = k_sweep(corpus, ck, _task_arg(args.task), ks, args.pool_size,
+    reports = k_sweep(corpus, ck, _task_arg(args.task), args.ks, args.pool_size,
                       args.seed)
     _emit([r.to_dict() for r in reports])
 

@@ -9,9 +9,11 @@ all sampling takes an explicit seed.
 
 from __future__ import annotations
 
+import contextlib
 import enum
 import hashlib
 import json
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -236,12 +238,29 @@ def load_corpus(path) -> Corpus:
     return build_corpus(dialogues, pools, examples)
 
 
+@contextlib.contextmanager
+def replace_on_success(path, mode: str, **open_kwargs):
+    """Open a temporary file beside ``path`` for writing and move it over
+    ``path`` only once the block completes, so a write that fails part-way
+    leaves the previous file untouched and no temporary file behind."""
+    head, tail = os.path.split(os.fspath(path))
+    tmp = os.path.join(head, f".{tail}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, mode, **open_kwargs) as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
+
+
 def write_corpus(corpus: Corpus, path) -> None:
     """Serialize in a fixed order: candidates per task, then dialogues."""
     by_dialogue: dict[str, list[RetrievalExample]] = {}
     for ex in corpus.examples:
         by_dialogue.setdefault(ex.dialogue_id, []).append(ex)
-    with open(path, "w", encoding="utf-8") as fh:
+    with replace_on_success(path, "w", encoding="utf-8") as fh:
         for task in TaskKind:
             for c in corpus.pools[task].values():
                 fh.write(json.dumps(
@@ -333,7 +352,7 @@ def sample_pool(ex: RetrievalExample, corpus: Corpus, pool_size: int,
             f"{ex.task.value} pool has {len(pool)} candidates, need {pool_size}")
     chosen = [ex.positive_id]
     semi = semi_hard_id(ex)
-    if semi is not None and len(chosen) < pool_size:
+    if semi is not None:
         chosen.append(semi)
     rng = derive_rng(seed, "pool", ex.dialogue_id, ex.query_turn_index, ex.task.value)
     taken = set(chosen)

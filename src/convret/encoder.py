@@ -84,7 +84,7 @@ def encode_batch(seqs: list[list[int]], params: EncoderParams,
         idx = np.minimum(positions, params.position.shape[0] - 1)
         m = ad.add(m, ad.gather(params.position, idx, tape), tape)
     z = ad.matmul(m, ad.transpose(params.ff_weight, tape), tape)
-    return ad.tanh(ad.add_rows(z, params.ff_bias, tape), tape)
+    return ad.tanh(ad.add(z, params.ff_bias, tape), tape)
 
 
 def encode_ids(ids: list[int], params: EncoderParams,

@@ -146,18 +146,16 @@ def encode_context(d: Dialogue, query_turn: int, mode: ContextMode,
 
     h_curr = [encode_utterance(u, enc, tape, position=pos(u)) for u in curr]
     if mode.kind is ModeKind.NO_PREV or not prev:
-        chosen: list[int] = []
-    elif frozen_selection is not None:
-        chosen = list(frozen_selection)
+        h_prev, chosen = [], []
     else:
-        # score off-tape: the selection is hard, so only the chosen
-        # utterances need gradient-recorded encodings
-        pure = [encode_utterance(u, enc, None, position=pos(u)) for u in prev]
-        scores = np.array([float(np.dot(h_ut.values, p.values)) for p in pure])
-        chosen = topk_indices(scores, mode.k)
-    selected = [encode_utterance(prev[i], enc, tape, position=pos(prev[i]))
-                for i in chosen]
-    H_hist = selected + h_curr
+        h_prev = [encode_utterance(u, enc, tape, position=pos(u)) for u in prev]
+        if frozen_selection is not None:
+            chosen = list(frozen_selection)
+        else:
+            # the selection is hard: scores are read off the values
+            scores = np.array([float(np.dot(h_ut.values, h.values)) for h in h_prev])
+            chosen = topk_indices(scores, mode.k)
+    H_hist = [h_prev[i] for i in chosen] + h_curr
     if not H_hist:
         return h_ut
     h_hist = attend(h_ut, H_hist, tape)
@@ -219,11 +217,13 @@ def encode_contexts(queries: list[tuple[Dialogue, int]], mode: ContextMode,
                       1.0 / math.sqrt(dim), tape)
     H = ad.matmul(ad.masked_softmax(scores, mask, tape), U, tape)
     # lambda = sigmoid(w . [h_hist; h_query]); h = h_query + lambda (h_hist - h_query)
-    w_hist = ad.gather(fusion.gate_w, np.arange(dim), tape)
-    w_query = ad.gather(fusion.gate_w, np.arange(dim, 2 * dim), tape)
+    # (d, 1) weight columns make lambda a (B, 1) column that scales each row
+    cols = np.arange(2 * dim)[:, None]
+    w_hist = ad.gather(fusion.gate_w, cols[:dim], tape)
+    w_query = ad.gather(fusion.gate_w, cols[dim:], tape)
     lam = ad.sigmoid(ad.add(ad.matmul(H, w_hist, tape),
                             ad.matmul(Q, w_query, tape), tape), tape)
-    return ad.add(Q, ad.scale_rows(ad.sub(H, Q, tape), lam, tape), tape)
+    return ad.add(Q, ad.mul(ad.sub(H, Q, tape), lam, tape), tape)
 
 
 class _UtteranceTable:

@@ -19,7 +19,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import autodiff as ad
-from .corpus import Corpus, TaskKind, derive_rng, semi_hard_id
+from .corpus import (Corpus, TaskKind, derive_rng, replace_on_success,
+                     semi_hard_id)
 from .encoder import (EncoderParams, candidate_ids, encode_batch,
                       init_encoder_params)
 from .errors import CheckpointError, ConfigError, TrainingError
@@ -202,7 +203,7 @@ def save_checkpoint(ck: Checkpoint, path) -> None:
     if ids != list(range(len(ck.vocab))):
         raise CheckpointError("vocabulary ids are not contiguous")
     tokens = sorted(ck.vocab, key=ck.vocab.get)
-    with open(path, "wb") as fh:
+    with replace_on_success(path, "wb") as fh:
         fh.write(CHECKPOINT_MAGIC)
         _write_record(fh, json.dumps(header, sort_keys=True,
                                      separators=(",", ":")).encode())
@@ -385,19 +386,12 @@ def train(corpus: Corpus, cfg: TrainConfig, start: Checkpoint | None = None,
     """
     tasks = _task_examples(corpus, cfg)
     if start is None:
-        vocab = corpus.vocab
-        enc = init_encoder_params(vocab, d=cfg.dim, seed=cfg.seed,
-                                  positions=cfg.positions)
-        params = dict(enc.tensors())
-        params.update(init_fusion_params(cfg.dim, cfg.seed).tensors())
-        state = OptimizerState.for_params(params)
-        done = 0
-    else:
-        vocab = start.vocab
-        params = start.tensors()
-        state = OptimizerState(start.step, dict(start.moments_m),
-                               dict(start.moments_v))
-        done = start.step
+        start = initial_checkpoint(corpus, cfg)
+    vocab = start.vocab
+    params = start.tensors()
+    state = OptimizerState(start.step, dict(start.moments_m),
+                           dict(start.moments_v))
+    done = start.step
 
     orders = _pool_orders(corpus, tasks)
     per_epoch = sum(len(exs) // cfg.batch_size for exs in tasks.values())

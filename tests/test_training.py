@@ -262,6 +262,31 @@ def _bogus_mode(blob: bytes) -> bytes:
     return _edit_header(blob, lambda h: h["config"]["mode"].update(kind="bogus"))
 
 
+def _break_corpus(corpus, ck):
+    corpus.dialogues.insert(0, None)  # raises after the candidate records
+
+
+def _break_checkpoint(corpus, ck):
+    # raises after the header, the parameters and the first moments
+    ck.moments_v["gate_w"] = np.full(ck.moments_v["gate_w"].shape, "x", dtype=object)
+
+
+@pytest.mark.parametrize("write,obj,spoil", [
+    (write_corpus, lambda corpus, ck: corpus, _break_corpus),
+    (save_checkpoint, lambda corpus, ck: ck, _break_checkpoint)])
+def test_failed_write_keeps_the_previous_file(tmp_path, write, obj, spoil):
+    corpus = tiny_corpus(dialogues=3)
+    ck = initial_checkpoint(corpus, tiny_train_cfg())
+    path = tmp_path / "out"
+    write(obj(corpus, ck), path)
+    before = path.read_bytes()
+    spoil(corpus, ck)
+    with pytest.raises((AttributeError, ValueError)):
+        write(obj(corpus, ck), path)
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["out"]
+
+
 def test_resume_equals_uninterrupted_run(tmp_path):
     corpus = tiny_corpus()
     cfg = tiny_train_cfg(epochs=2, schedule=Schedule.LINEAR_DECAY)
