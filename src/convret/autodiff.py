@@ -34,7 +34,8 @@ class Tensor:
         arr = np.asarray(values, dtype=np.float64, order="C")
         if arr.ndim > 2:
             raise DimensionError(f"rank {arr.ndim} tensors are not supported")
-        self.values = arr if arr.flags.c_contiguous else np.ascontiguousarray(arr)
+        # lock a view, so an array the caller passed in stays writeable
+        self.values = arr.view()
         self.values.flags.writeable = False
         self.requires_grad = requires_grad
 

@@ -112,9 +112,12 @@ class Corpus:
     # instrumentation: counts candidate reads per task (e.g. to verify that
     # single-task training never touches the other pools)
     pool_reads: dict[TaskKind, int] = field(init=False, repr=False, compare=False)
+    _orders: dict[TaskKind, tuple[list[str], dict[str, int]]] = field(
+        init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.pool_reads = {t: 0 for t in TaskKind}
+        self._orders = {}
         self._by_id = {}
         for d in self.dialogues:
             if d.dialogue_id in self._by_id:
@@ -133,6 +136,24 @@ class Corpus:
         if c is None:
             raise IntegrityError(f"unknown {task.value} candidate id {candidate_id}")
         return c
+
+    def pool_order(self, task: TaskKind) -> tuple[list[str], dict[str, int]]:
+        """The task's candidate ids in pool order, and each id's position;
+        built on first use."""
+        order = self._orders.get(task)
+        if order is None:
+            ids = list(self.pools[task])
+            order = self._orders[task] = ids, {cid: i for i, cid in enumerate(ids)}
+        return order
+
+    def check_pool_size(self, task: TaskKind, pool_size: int) -> None:
+        """Raise unless a pool of ``pool_size`` can be sampled for ``task``."""
+        if pool_size < 2:
+            raise ContractError(f"pool size {pool_size} is below 2")
+        if len(self.pools[task]) < pool_size:
+            raise CapacityError(
+                f"{task.value} pool has {len(self.pools[task])} candidates, "
+                f"need {pool_size}")
 
 
 def _tokens(text: str) -> list[str]:
@@ -340,27 +361,36 @@ def semi_hard_id(ex: RetrievalExample) -> str | None:
     return None
 
 
+def skip_positions(pick: int, skipped: list[int]) -> int:
+    """Position of the ``pick``-th remaining entry of a sequence once the
+    ascending ``skipped`` positions are removed from it: ``pick`` is shifted
+    past each skipped position at or below it."""
+    for p in skipped:
+        if pick >= p:
+            pick += 1
+    return pick
+
+
 def sample_pool(ex: RetrievalExample, corpus: Corpus, pool_size: int,
                 seed: int) -> list[Candidate]:
     """Candidate pool for one example: positive, at most one semi-hard
-    historical candidate, random distinct fillers; seeded shuffle."""
-    if pool_size < 2:
-        raise ContractError(f"pool size {pool_size} is below 2")
+    historical candidate, random distinct fillers; seeded shuffle.
+
+    Fillers are drawn by index from the pool order with the chosen ids
+    removed, without building that list (see ``skip_positions``)."""
+    corpus.check_pool_size(ex.task, pool_size)
     pool = corpus.pools[ex.task]
-    if len(pool) < pool_size:
-        raise CapacityError(
-            f"{ex.task.value} pool has {len(pool)} candidates, need {pool_size}")
     chosen = [ex.positive_id]
     semi = semi_hard_id(ex)
     if semi is not None:
         chosen.append(semi)
     rng = derive_rng(seed, "pool", ex.dialogue_id, ex.query_turn_index, ex.task.value)
-    taken = set(chosen)
-    rest = [cid for cid in pool if cid not in taken]
+    ids, position = corpus.pool_order(ex.task)
+    skipped = sorted(position[cid] for cid in chosen if cid in position)
     fill = pool_size - len(chosen)
     if fill:
-        picks = rng.choice(len(rest), size=fill, replace=False)
-        chosen.extend(rest[i] for i in picks)
+        picks = rng.choice(len(ids) - len(skipped), size=fill, replace=False)
+        chosen.extend(ids[skip_positions(int(i), skipped)] for i in picks)
     order = rng.permutation(len(chosen))
     return [pool[chosen[i]] for i in order]
 

@@ -71,24 +71,16 @@ class MetricsReport:
                            "seed": self.seed}}
 
 
-def embed_pool(cands: list[Candidate], params: EncoderParams,
-               cache: dict[str, np.ndarray] | None = None) -> EmbeddedPool:
-    """Embed candidates one per row; no gradients recorded. An optional
-    cache (candidate id -> vector) avoids re-encoding across queries."""
+def embed_pool(cands: list[Candidate], params: EncoderParams) -> EmbeddedPool:
+    """Embed candidates one per row, in list order; no gradients recorded."""
     if not cands:
         raise ContractError("embed_pool of an empty candidate list")
     task = cands[0].task
     if any(c.task is not task for c in cands):
         raise ContractError("embed_pool requires a single-task candidate list")
-    rows = []
-    for c in cands:
-        vec = None if cache is None else cache.get(c.candidate_id)
-        if vec is None:
-            vec = encode_candidate(c, params).values
-            if cache is not None:
-                cache[c.candidate_id] = vec
-        rows.append(vec)
-    return EmbeddedPool([c.candidate_id for c in cands], np.array(rows), task)
+    return EmbeddedPool([c.candidate_id for c in cands],
+                        np.array([encode_candidate(c, params).values
+                                  for c in cands]), task)
 
 
 def retrieve(h_d: ad.Tensor, pool: EmbeddedPool,
@@ -119,26 +111,60 @@ def _fingerprint(ck: Checkpoint, task: TaskKind, pool_size: int, seed: int,
 
 
 def evaluate(corpus: Corpus, ck: Checkpoint, task: TaskKind, pool_size: int,
-             seed: int, mode: ContextMode | None = None) -> MetricsReport:
+             seed: int, mode: ContextMode | None = None,
+             cache: dict | None = None) -> MetricsReport:
     """Rank each example's positive inside a sampled pool; aggregate metrics.
 
     Tokenization uses the checkpoint's vocabulary, so the corpus may be a
     held-out split or a different file than the training corpus.
+
+    Candidates are embedded into one matrix in the task's pool order, each
+    at most once: a call embeds the rows its sampled pools use that are not
+    there yet, and each sampled pool is a gather of the matrix's rows.
+    ``cache`` keeps that matrix, every example's context vector per mode,
+    and the sampled rows per pool size and seed, so calls that share it
+    encode nothing twice. A cache belongs to the first corpus and
+    checkpoint it is used with; passing it with any other raises
+    ContractError.
     """
     mode = ck.cfg.mode if mode is None else mode
     examples = [ex for ex in corpus.examples if ex.task == task]
     if not examples:
         raise ContractError(f"corpus has no {task.value} examples")
+    corpus.check_pool_size(task, pool_size)
+    cache = {} if cache is None else cache
+    owner_corpus, owner_ck = cache.setdefault("owner", (corpus, ck))
+    if owner_corpus is not corpus or owner_ck is not ck:
+        raise ContractError(
+            "evaluation cache was built for another corpus or checkpoint")
+    ids, position = corpus.pool_order(task)
+    if ("rows", task, pool_size, seed) not in cache:
+        cache["rows", task, pool_size, seed] = [
+            np.array([position[c.candidate_id]
+                      for c in sample_pool(ex, corpus, pool_size, seed)])
+            for ex in examples]
+    sampled = cache["rows", task, pool_size, seed]
     enc = ck.encoder_params()
-    fus = ck.fusion_params()
-    cache: dict[str, np.ndarray] = {}
+    if ("pool", task) not in cache:
+        cache["pool", task] = (np.zeros((len(ids), enc.dim)),
+                               np.zeros(len(ids), dtype=bool))
+    matrix, embedded = cache["pool", task]
+    missing = np.zeros(len(ids), dtype=bool)
+    missing[np.concatenate(sampled)] = True
+    missing = np.flatnonzero(missing & ~embedded)
+    if missing.size:
+        pool = corpus.pools[task]
+        matrix[missing] = embed_pool([pool[ids[i]] for i in missing], enc).matrix
+        embedded[missing] = True
+    if ("contexts", task, mode) not in cache:
+        fus = ck.fusion_params()
+        cache["contexts", task, mode] = [
+            encode_context(corpus.dialogue(ex.dialogue_id), ex.query_turn_index,
+                           mode, enc, fus) for ex in examples]
     hits1 = hits5 = 0
     mrr_total = 0.0
-    for ex in examples:
-        pool_cands = sample_pool(ex, corpus, pool_size, seed)
-        pool = embed_pool(pool_cands, enc, cache)
-        h_d = encode_context(corpus.dialogue(ex.dialogue_id),
-                             ex.query_turn_index, mode, enc, fus)
+    for ex, h_d, rows in zip(examples, cache["contexts", task, mode], sampled):
+        pool = EmbeddedPool([ids[i] for i in rows], matrix[rows], task)
         ranking = retrieve(h_d, pool, pool.size)
         rank = 1 + next(i for i, (cid, _) in enumerate(ranking)
                         if cid == ex.positive_id)
@@ -156,18 +182,21 @@ def evaluate(corpus: Corpus, ck: Checkpoint, task: TaskKind, pool_size: int,
 def pool_size_sweep(corpus: Corpus, ck: Checkpoint, task: TaskKind,
                     sizes: list[int], seed: int,
                     mode: ContextMode | None = None) -> list[MetricsReport]:
-    """One report per pool size under a shared seed derivation."""
-    return [evaluate(corpus, ck, task, size, seed, mode) for size in sizes]
+    """One report per pool size under a shared seed derivation; the pool
+    and the contexts are encoded once for the whole sweep."""
+    cache: dict = {}
+    return [evaluate(corpus, ck, task, size, seed, mode, cache)
+            for size in sizes]
 
 
 def k_sweep(corpus: Corpus, ck: Checkpoint, task: TaskKind, ks: list[int],
             pool_size: int, seed: int) -> list[MetricsReport]:
-    """Reports for each adaptive k plus the no-previous-session mode."""
-    reports = [evaluate(corpus, ck, task, pool_size, seed, ContextMode.adaptive(k))
-               for k in ks]
-    reports.append(evaluate(corpus, ck, task, pool_size, seed,
-                            ContextMode.no_prev()))
-    return reports
+    """Reports for each adaptive k plus the no-previous-session mode; the
+    pool is encoded and sampled once for the whole sweep."""
+    cache: dict = {}
+    modes = [ContextMode.adaptive(k) for k in ks] + [ContextMode.no_prev()]
+    return [evaluate(corpus, ck, task, pool_size, seed, mode, cache)
+            for mode in modes]
 
 
 ABLATION_VARIANTS = ("baseline", "no_context_enc", "no_pair", "no_hist")

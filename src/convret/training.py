@@ -20,7 +20,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .corpus import (Corpus, TaskKind, derive_rng, replace_on_success,
-                     semi_hard_id)
+                     semi_hard_id, skip_positions)
 from .encoder import (EncoderParams, candidate_ids, encode_batch,
                       init_encoder_params)
 from .errors import CheckpointError, ConfigError, TrainingError
@@ -295,26 +295,13 @@ def steps_per_epoch(corpus: Corpus, cfg: TrainConfig) -> int:
                for exs in _task_examples(corpus, cfg).values())
 
 
-_PoolOrder = tuple[list[str], dict[str, int]]  # ids in pool order, id -> position
-
-
-def _pool_orders(corpus: Corpus, tasks) -> dict[TaskKind, _PoolOrder]:
-    """Each task's candidate ids in pool order, and each id's position."""
-    orders = {}
-    for t in tasks:
-        ids = list(corpus.pools[t])
-        orders[t] = ids, {cid: i for i, cid in enumerate(ids)}
-    return orders
-
-
-def _easy_negative(ex, epoch: int, seed: int, order: _PoolOrder) -> str:
+def _easy_negative(ex, epoch: int, seed: int, corpus: Corpus) -> str:
     """Id of a random easy negative: never the positive, never the semi-hard.
 
     Draws uniformly from the pool order with the excluded ids removed,
-    without building that list: the draw indexes the remaining ids and is
-    shifted past each excluded position at or below it.
+    without building that list (see ``skip_positions``).
     """
-    ids, position = order
+    ids, position = corpus.pool_order(ex.task)
     exclude = {ex.positive_id}
     semi = semi_hard_id(ex)
     if semi is not None:
@@ -324,16 +311,12 @@ def _easy_negative(ex, epoch: int, seed: int, order: _PoolOrder) -> str:
         raise ConfigError(f"{ex.task.value} pool has no easy negative available")
     rng = derive_rng(seed, "easy", ex.dialogue_id, ex.query_turn_index, epoch)
     pick = int(rng.integers(len(ids) - len(skipped)))
-    for p in skipped:
-        if pick >= p:
-            pick += 1
-    return ids[pick]
+    return ids[skip_positions(pick, skipped)]
 
 
 def _batch_loss(corpus: Corpus, batch, params: dict[str, ad.Tensor],
                 cfg: TrainConfig, vocab: dict[str, int], epoch: int,
-                tape: ad.Tape, orders: dict[TaskKind, _PoolOrder],
-                frozen_selection: list[list[int]] | None = None):
+                tape: ad.Tape, frozen_selection: list[list[int]] | None = None):
     """The batch's combined loss as one graph: contexts and distinct
     candidates are encoded as matrices, and every score is an entry of
     their B x N product."""
@@ -360,8 +343,8 @@ def _batch_loss(corpus: Corpus, batch, params: dict[str, ad.Tensor],
         present.append(semi is not None)
         # an absent semi-hard score is never read; point it at the positive
         semi_cols.append(pos_cols[-1] if semi is None else col(ex.task, semi))
-        easy_cols.append(col(ex.task, _easy_negative(ex, epoch, cfg.seed,
-                                                     orders[ex.task])))
+        easy_cols.append(col(ex.task,
+                             _easy_negative(ex, epoch, cfg.seed, corpus)))
     cand_rows = encode_batch([candidate_ids(c, vocab) for c in cands], enc, tape)
 
     b, n = len(batch), len(cands)
@@ -393,7 +376,6 @@ def train(corpus: Corpus, cfg: TrainConfig, start: Checkpoint | None = None,
                            dict(start.moments_v))
     done = start.step
 
-    orders = _pool_orders(corpus, tasks)
     per_epoch = sum(len(exs) // cfg.batch_size for exs in tasks.values())
     total_steps = cfg.epochs * per_epoch
     history: list[float] = []
@@ -407,8 +389,7 @@ def train(corpus: Corpus, cfg: TrainConfig, start: Checkpoint | None = None,
             if max_steps is not None and performed >= max_steps:
                 break
             tape = ad.Tape()
-            loss = _batch_loss(corpus, batch, params, cfg, vocab, epoch, tape,
-                               orders)
+            loss = _batch_loss(corpus, batch, params, cfg, vocab, epoch, tape)
             value = loss.item()
             if not np.isfinite(value):
                 raise TrainingError(f"non-finite loss at step {step}")

@@ -15,8 +15,7 @@ from convret.encoder import EncoderParams, encode_candidate, init_encoder_params
 from convret.fusion import (ContextMode, FusionParams, encode_context,
                             init_fusion_params)
 from convret.losses import batch_similarities, combined_loss
-from convret.training import (TrainConfig, _batch_loss, _easy_negative,
-                              _pool_orders)
+from convret.training import TrainConfig, _batch_loss, _easy_negative
 
 from test_acceptance import TINY
 
@@ -58,7 +57,7 @@ def _frozen(batch, k, seed):
     return out
 
 
-def _reference_loss(batch, params, cfg, tape, orders, frozen):
+def _reference_loss(batch, params, cfg, tape, frozen):
     enc = EncoderParams(params["embedding"], params["ff_weight"],
                         params["ff_bias"], TINY.vocab, params.get("position"))
     fus = FusionParams(params["gate_w"])
@@ -75,7 +74,7 @@ def _reference_loss(batch, params, cfg, tape, orders, frozen):
         semi_id = ex.positive_id if semi is None else semi
         semis.append(ad.dot(h, encode_candidate(
             TINY.candidate(ex.task, semi_id), enc, tape), tape))
-        easy = _easy_negative(ex, EPOCH, cfg.seed, orders[ex.task])
+        easy = _easy_negative(ex, EPOCH, cfg.seed, TINY)
         easies.append(ad.dot(h, encode_candidate(
             TINY.candidate(ex.task, easy), enc, tape), tape))
     cross = ad.matmul(ad.stack(contexts, tape),
@@ -103,7 +102,6 @@ CASES = [(mode, positions, frozen)
 
 @pytest.mark.parametrize("mode,positions,frozen", CASES)
 def test_batched_loss_and_gradients_match_per_example_path(mode, positions, frozen):
-    orders = _pool_orders(TINY, list(TaskKind))
     for t_i, task in enumerate(TaskKind):
         cfg = TrainConfig(mode=MODES[mode], dim=5, seed=30 + t_i,
                           positions=positions, gamma=1.5)
@@ -112,9 +110,9 @@ def test_batched_loss_and_gradients_match_per_example_path(mode, positions, froz
         sel = _frozen(batch, cfg.mode.k, cfg.seed) if frozen else None
         got, got_g, nodes = _loss_and_grads(
             lambda tape, p: _batch_loss(TINY, batch, p, cfg, TINY.vocab, EPOCH,
-                                        tape, orders, sel), params)
+                                        tape, sel), params)
         want, want_g, ref_nodes = _loss_and_grads(
-            lambda tape, p: _reference_loss(batch, p, cfg, tape, orders, sel),
+            lambda tape, p: _reference_loss(batch, p, cfg, tape, sel),
             params)
         assert abs(got - want) <= 1e-10 * abs(want)
         for name in params:
@@ -125,7 +123,6 @@ def test_batched_loss_and_gradients_match_per_example_path(mode, positions, froz
 
 
 def test_batched_loss_passes_gradient_check_with_frozen_selection():
-    orders = _pool_orders(TINY, list(TaskKind))
     cfg = TrainConfig(mode=ContextMode.adaptive(2), dim=4, seed=41, positions=4)
     batch = _batch(TaskKind.KNOWLEDGE, cfg.seed)
     sel = _frozen(batch, cfg.mode.k, cfg.seed)
@@ -133,7 +130,7 @@ def test_batched_loss_passes_gradient_check_with_frozen_selection():
     def f(p):
         tape = ad.Tape()
         return tape, _batch_loss(TINY, batch, p, cfg, TINY.vocab, EPOCH, tape,
-                                 orders, sel)
+                                 sel)
 
     err = ad.grad_check(f, _params(cfg), eps=1e-5,
                         rng=np.random.default_rng(5), max_coords=80)

@@ -159,13 +159,16 @@ def test_invalid_checkpoint_header_fails_with_diagnostic(tmp_path, capsys):
     assert stderr.startswith("convret: invalid checkpoint header")
 
 
-def test_oversized_pool_fails(tmp_path, capsys):
+def test_invalid_pool_size_fails_with_one_line(tmp_path, capsys):
     corpus_path, ckpt = pipeline(tmp_path, capsys)
-    code, _, stderr = run(capsys, "eval", "--corpus", str(corpus_path),
-                          "--ckpt", str(ckpt), "--task", "persona",
-                          "--pool-size", "999", "--seed", "7")
-    assert code == 1
-    assert "999" in stderr
+    for size in ("1", "999"):
+        code, stdout, stderr = run(capsys, "eval", "--corpus", str(corpus_path),
+                                   "--ckpt", str(ckpt), "--task", "persona",
+                                   "--pool-size", size, "--seed", "7")
+        assert code == 1
+        assert stdout == ""
+        assert stderr.startswith("convret: ") and stderr.count("\n") == 1
+        assert size in stderr
 
 
 def test_parser_rejects_unknown_command():

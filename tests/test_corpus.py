@@ -247,6 +247,29 @@ def test_sample_pool_never_duplicates_over_many_seeds():
         assert ids.count("c1") == 1
 
 
+def test_sample_pool_matches_filtered_list_formula():
+    # oracle: the draws index the explicitly filtered list of the other ids
+    c = generate_synthetic(small_cfg(), seed=4)
+    assert any(semi_hard_id(ex) is not None for ex in c.examples)
+    for ex in c.examples[::3]:
+        pool = c.pools[ex.task]
+        for size in (2, 3, 9, len(pool)):
+            for seed in range(3):
+                got = [x.candidate_id for x in sample_pool(ex, c, size, seed)]
+                chosen = [ex.positive_id]
+                if semi_hard_id(ex) is not None:
+                    chosen.append(semi_hard_id(ex))
+                rng = derive_rng(seed, "pool", ex.dialogue_id,
+                                 ex.query_turn_index, ex.task.value)
+                rest = [cid for cid in pool if cid not in set(chosen)]
+                fill = size - len(chosen)
+                if fill:
+                    picks = rng.choice(len(rest), size=fill, replace=False)
+                    chosen.extend(rest[i] for i in picks)
+                order = rng.permutation(len(chosen))
+                assert got == [chosen[i] for i in order]
+
+
 # ---------------------------------------------------------------------------
 # generator
 # ---------------------------------------------------------------------------

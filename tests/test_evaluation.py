@@ -1,12 +1,15 @@
 """Retrieval metric tests against independent oracles."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
 from convret import autodiff as ad
-from convret.corpus import TaskKind, sample_pool
+from convret import evaluation
+from convret.corpus import TaskKind, build_corpus, sample_pool
 from convret.encoder import encode_candidate
-from convret.errors import ContractError, EvaluationError
+from convret.errors import CapacityError, ContractError, EvaluationError
 from convret.evaluation import (ABLATION_VARIANTS, EmbeddedPool, MetricsReport,
                                 ablation_run, embed_pool, evaluate, k_sweep,
                                 pool_size_sweep, rank_by_counting, retrieve,
@@ -94,17 +97,68 @@ def test_embed_pool_rejects_mixed_tasks_and_empty():
         embed_pool([], enc)
 
 
-def test_embed_pool_uses_cache():
+def _refuse(*args, **kwargs):
+    raise AssertionError("encoded although the cache holds the result")
+
+
+def test_evaluate_reads_its_cache(monkeypatch):
     corpus = small_corpus()
     ck = initial_checkpoint(corpus, TrainConfig(seed=3))
-    enc = ck.encoder_params()
-    cands = list(corpus.pools[TaskKind.PERSONA].values())[:3]
+    task, mode = TaskKind.PERSONA, ck.cfg.mode
     cache = {}
-    embed_pool(cands, enc, cache)
-    assert set(cache) == {c.candidate_id for c in cands}
-    poisoned = {cid: np.full(enc.dim, 9.0) for cid in cache}
-    again = embed_pool(cands, enc, poisoned)
-    assert np.all(again.matrix == 9.0)
+    first = evaluate(corpus, ck, task, 8, seed=5, cache=cache)
+    assert set(cache) == {"owner", ("pool", task), ("contexts", task, mode),
+                          ("rows", task, 8, 5)}
+    monkeypatch.setattr(evaluation, "encode_candidate", _refuse)
+    monkeypatch.setattr(evaluation, "encode_context", _refuse)
+    assert evaluate(corpus, ck, task, 8, seed=5, cache=cache) == first
+    # zero contexts tie every score, so each positive ranks at its position
+    # in the sampled pool
+    contexts = cache["contexts", task, mode]
+    cache["contexts", task, mode] = [ad.tensor(np.zeros(ck.cfg.dim))] * len(contexts)
+    tied = evaluate(corpus, ck, task, 8, seed=5, cache=cache)
+    ranks = [1 + [c.candidate_id for c in sample_pool(ex, corpus, 8, 5)]
+             .index(ex.positive_id)
+             for ex in corpus.examples if ex.task is task]
+    assert tied.mrr == pytest.approx(np.mean([1 / r for r in ranks]), abs=1e-12)
+
+
+def test_evaluate_embeds_only_the_pool_rows_it_samples():
+    corpus = small_corpus()
+    two = build_corpus(corpus.dialogues, corpus.pools,
+                       [ex for ex in corpus.examples
+                        if ex.task is TaskKind.PERSONA][:2])
+    ck = initial_checkpoint(corpus, TrainConfig(seed=3))
+    cache = {}
+    evaluate(two, ck, TaskKind.PERSONA, 4, seed=5, cache=cache)
+    matrix, embedded = cache["pool", TaskKind.PERSONA]
+    used = np.unique(np.concatenate(cache["rows", TaskKind.PERSONA, 4, 5]))
+    assert np.flatnonzero(embedded).tolist() == used.tolist()
+    assert len(used) <= 8 < len(corpus.pools[TaskKind.PERSONA])
+    ids, _ = two.pool_order(TaskKind.PERSONA)
+    enc = ck.encoder_params()
+    for i in used:
+        cand = corpus.pools[TaskKind.PERSONA][ids[i]]
+        assert np.array_equal(matrix[i], encode_candidate(cand, enc).values)
+
+
+def test_evaluate_checks_pool_size_and_cache_owner_before_encoding(monkeypatch):
+    corpus = small_corpus()
+    ck = initial_checkpoint(corpus, TrainConfig(seed=3))
+    cache = {}
+    evaluate(corpus, ck, TaskKind.PERSONA, 4, seed=5, cache=cache)
+    monkeypatch.setattr(evaluation, "encode_candidate", _refuse)
+    monkeypatch.setattr(evaluation, "encode_context", _refuse)
+    with pytest.raises(ContractError, match="another corpus or checkpoint"):
+        evaluate(corpus, initial_checkpoint(corpus, TrainConfig(seed=3)),
+                 TaskKind.KNOWLEDGE, 4, seed=5, cache=cache)
+    with pytest.raises(ContractError, match="another corpus or checkpoint"):
+        evaluate(small_corpus(), ck, TaskKind.KNOWLEDGE, 4, seed=5, cache=cache)
+    with pytest.raises(ContractError, match="below 2"):
+        evaluate(corpus, ck, TaskKind.PERSONA, 1, seed=5)
+    too_many = len(corpus.pools[TaskKind.PERSONA]) + 1
+    with pytest.raises(CapacityError, match=str(too_many)):
+        evaluate(corpus, ck, TaskKind.PERSONA, too_many, seed=5, cache=cache)
 
 
 def test_metrics_report_validation():
@@ -208,6 +262,57 @@ def test_k_sweep_layout():
     assert [r.mode_kind for r in reports] == ["adaptive"] * 3 + ["no_prev"]
     assert [r.mode_k for r in reports[:3]] == [1, 2, 4]
     assert len({r.fingerprint for r in reports}) == 4
+
+
+SWEEP_MODES = [ContextMode.adaptive(2), ContextMode.full_concat(),
+               ContextMode.no_prev(), ContextMode.mean_all()]
+
+
+def test_sweep_reports_equal_fresh_evaluations():
+    corpus = small_corpus()
+    ck, _ = train(corpus, TrainConfig(epochs=1, batch_size=4, seed=1))
+    for task in TaskKind:
+        for mode in SWEEP_MODES:
+            for r in pool_size_sweep(corpus, ck, task, [16, 8, 4, 2], 3, mode):
+                fresh = evaluate(corpus, ck, task, r.pool_size, 3, mode)
+                assert r.to_dict() == fresh.to_dict()
+        modes = [ContextMode.adaptive(k) for k in (1, 2, 4)] + [ContextMode.no_prev()]
+        for r, mode in zip(k_sweep(corpus, ck, task, [1, 2, 4], 8, 3), modes,
+                           strict=True):
+            assert r.to_dict() == evaluate(corpus, ck, task, 8, 3, mode).to_dict()
+
+
+def test_sweeps_encode_each_candidate_and_context_once(monkeypatch):
+    corpus = small_corpus()
+    ck = initial_checkpoint(corpus, TrainConfig(seed=3))
+    calls = Counter()
+
+    def candidate(c, params):
+        calls["candidate", c.task, c.candidate_id] += 1
+        return encode_candidate(c, params)
+
+    def context(d, query_turn, mode, enc, fus):
+        calls["context", d.dialogue_id, query_turn, mode] += 1
+        return encode_context(d, query_turn, mode, enc, fus)
+
+    monkeypatch.setattr(evaluation, "encode_candidate", candidate)
+    monkeypatch.setattr(evaluation, "encode_context", context)
+    for task in TaskKind:
+        examples = [ex for ex in corpus.examples if ex.task is task]
+        for run, modes in (
+                (lambda: pool_size_sweep(corpus, ck, task, [16, 8, 4, 2], 3),
+                 [ck.cfg.mode]),
+                (lambda: k_sweep(corpus, ck, task, [1, 2, 4], 8, 3),
+                 [ContextMode.adaptive(k) for k in (1, 2, 4)]
+                 + [ContextMode.no_prev()])):
+            calls.clear()
+            run()
+            assert max(calls.values()) == 1
+            assert {k[2] for k in calls if k[0] == "candidate"} <= set(
+                corpus.pools[task])
+            assert {k[1:] for k in calls if k[0] == "context"} == {
+                (ex.dialogue_id, ex.query_turn_index, mode)
+                for ex in examples for mode in modes}
 
 
 def test_variant_config_switches():

@@ -170,12 +170,11 @@ def test_full_regime_interleaves_tasks_round_robin():
 
 def test_easy_negative_never_positive_or_semi_hard():
     corpus = tiny_corpus()
-    from convret.training import _easy_negative, _pool_orders
+    from convret.training import _easy_negative
     from convret.corpus import derive_rng, semi_hard_id
-    orders = _pool_orders(corpus, list(TaskKind))
     for ex in corpus.examples[:40]:
         for epoch in range(3):
-            cid = _easy_negative(ex, epoch, 0, orders[ex.task])
+            cid = _easy_negative(ex, epoch, 0, corpus)
             assert cid != ex.positive_id
             assert cid != semi_hard_id(ex)
             assert cid in corpus.pools[ex.task]
@@ -190,8 +189,9 @@ def test_easy_negative_needs_a_candidate_left():
     from convret.training import _easy_negative
     corpus = tiny_corpus()
     ex = corpus.examples[0]
+    corpus.pools[ex.task] = {ex.positive_id: corpus.pools[ex.task][ex.positive_id]}
     with pytest.raises(ConfigError, match="no easy negative"):
-        _easy_negative(ex, 0, 0, ([ex.positive_id], {ex.positive_id: 0}))
+        _easy_negative(ex, 0, 0, corpus)
 
 
 # ---------------------------------------------------------------------------
@@ -218,6 +218,17 @@ def test_checkpoint_round_trip_is_bit_exact(tmp_path):
     np.testing.assert_array_equal(a, b)
     save_checkpoint(back, tmp_path / "again.ckpt")
     assert (tmp_path / "again.ckpt").read_bytes() == p.read_bytes()
+
+
+def test_parameter_views_leave_checkpoint_arrays_writeable(tmp_path):
+    corpus = tiny_corpus(dialogues=3)
+    save_checkpoint(initial_checkpoint(corpus, tiny_train_cfg()),
+                    tmp_path / "model.ckpt")
+    ck = load_checkpoint(tmp_path / "model.ckpt")
+    enc, fus = ck.encoder_params(), ck.fusion_params()
+    assert all(a.flags.writeable for a in ck.arrays.values())
+    assert not enc.embedding.values.flags.writeable
+    assert not fus.gate_w.values.flags.writeable
 
 
 def test_checkpoint_corruption_and_version_errors(tmp_path):
