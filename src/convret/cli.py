@@ -12,7 +12,7 @@ import json
 import sys
 
 from .corpus import TaskKind, load_corpus, write_corpus
-from .errors import ConvretError
+from .errors import ConfigError, ConvretError
 from .evaluation import (ABLATION_VARIANTS, ablation_run, evaluate, k_sweep,
                          pool_size_sweep)
 from .fusion import ContextMode
@@ -28,6 +28,13 @@ _TRAIN = TrainConfig()
 
 def _csv_ints(text: str) -> list[int]:
     return [int(part) for part in text.split(",") if part]
+
+
+def _distinct(flag: str, values: list) -> list:
+    """A list flag's values; ConfigError when there are none or one repeats."""
+    if not values or len(set(values)) < len(values):
+        raise ConfigError(f"{flag} needs one or more distinct values, got {values}")
+    return values
 
 
 def _mode_arg(name: str, k: int) -> ContextMode:
@@ -170,26 +177,27 @@ def _cmd_eval(args) -> None:
 
 
 def _cmd_sweep_pool(args) -> None:
+    sizes = _distinct("--sizes", args.sizes)
     corpus = load_corpus(args.corpus)
     ck = load_checkpoint(args.ckpt)
-    reports = pool_size_sweep(corpus, ck, _task_arg(args.task), args.sizes,
-                              args.seed)
+    reports = pool_size_sweep(corpus, ck, _task_arg(args.task), sizes, args.seed)
     _emit([r.to_dict() for r in reports])
 
 
 def _cmd_sweep_k(args) -> None:
+    ks = _distinct("--ks", args.ks)
     corpus = load_corpus(args.corpus)
     ck = load_checkpoint(args.ckpt)
-    reports = k_sweep(corpus, ck, _task_arg(args.task), args.ks, args.pool_size,
+    reports = k_sweep(corpus, ck, _task_arg(args.task), ks, args.pool_size,
                       args.seed)
     _emit([r.to_dict() for r in reports])
 
 
 def _cmd_ablate(args) -> None:
+    variants = _distinct("--variants", [v for v in args.variants.split(",") if v])
     corpus = load_corpus(args.corpus)
     eval_corpus = (corpus if args.eval_corpus is None
                    else load_corpus(args.eval_corpus))
-    variants = [v for v in args.variants.split(",") if v]
     table = ablation_run(corpus, eval_corpus, _train_config(args, None),
                          variants, args.pool_size, args.eval_seed)
     _emit(table)

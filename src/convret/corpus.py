@@ -4,7 +4,8 @@ A corpus couples dialogues (ordered sessions of user/system utterances) with
 three global candidate pools, one per retrieval task, and a list of
 retrieval examples binding a user turn to its positive candidate and the
 candidates selected at earlier turns. Corpora are immutable after load and
-all sampling takes an explicit seed.
+all sampling takes an explicit seed. Training reads a corpus compiled once
+per vocabulary into index arrays (``Corpus.training_inputs``).
 """
 
 from __future__ import annotations
@@ -12,7 +13,9 @@ from __future__ import annotations
 import contextlib
 import enum
 import hashlib
+import itertools
 import json
+import operator
 import os
 from dataclasses import dataclass, field
 
@@ -46,6 +49,15 @@ class TaskKind(enum.Enum):
     PERSONA = "persona"
     KNOWLEDGE = "knowledge"
     RESPONSE = "response"
+
+
+# an encoded text is CLS, a lead token (speaker role or retrieval task), then
+# at most this many word ids
+MAX_UTTERANCE_TOKENS = 64
+MAX_CANDIDATE_TOKENS = 512
+ROLE_TOKEN = {Role.USER: USR_ID, Role.SYSTEM: SYS_ID}
+TASK_TOKEN = {TaskKind.PERSONA: PERSONA_ID, TaskKind.KNOWLEDGE: KNOWLEDGE_ID,
+              TaskKind.RESPONSE: RESPONSE_ID}
 
 
 @dataclass(frozen=True)
@@ -114,10 +126,12 @@ class Corpus:
     pool_reads: dict[TaskKind, int] = field(init=False, repr=False, compare=False)
     _orders: dict[TaskKind, tuple[list[str], dict[str, int]]] = field(
         init=False, repr=False, compare=False)
+    _inputs: TrainingInputs | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.pool_reads = {t: 0 for t in TaskKind}
         self._orders = {}
+        self._inputs = None
         self._by_id = {}
         for d in self.dialogues:
             if d.dialogue_id in self._by_id:
@@ -145,6 +159,21 @@ class Corpus:
             ids = list(self.pools[task])
             order = self._orders[task] = ids, {cid: i for i, cid in enumerate(ids)}
         return order
+
+    def training_inputs(self, vocab: dict[str, int], tasks) -> TrainingInputs:
+        """The corpus compiled into index arrays under ``vocab``, with the
+        candidates of ``tasks``; built on first use and rebuilt only for a
+        vocabulary that differs from the one it was built with."""
+        inputs = self._inputs
+        if inputs is None or inputs.vocab != vocab:
+            inputs = self._inputs = _compile_utterances(self, dict(vocab))
+        for task in tasks:
+            if task not in inputs.candidates:
+                ids, _ = self.pool_order(task)
+                inputs.candidates[task] = _token_rows(
+                    [self.candidate(task, cid).text for cid in ids],
+                    TASK_TOKEN[task], inputs.vocab, MAX_CANDIDATE_TOKENS)
+        return inputs
 
     def check_pool_size(self, task: TaskKind, pool_size: int) -> None:
         """Raise unless a pool of ``pool_size`` can be sampled for ``task``."""
@@ -359,6 +388,121 @@ def semi_hard_id(ex: RetrievalExample) -> str | None:
     if ex.historical_ids and ex.historical_ids[-1] != ex.positive_id:
         return ex.historical_ids[-1]
     return None
+
+
+# ---------------------------------------------------------------------------
+# training inputs compiled into index arrays
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class TrainingInputs:
+    """A corpus as int32 index arrays under one vocabulary.
+
+    Utterance row r, counted in dialogue order, has turn index ``turns[r]``
+    and tokens ``tokens[offsets[r]:offsets[r + 1]]``: its role token and
+    word ids, without the CLS that every sequence starts with. Row e of
+    ``examples`` is (start, split, query): the ``split_sessions`` parts of
+    ``corpus.examples[e]`` are rows [start, split), rows [split, query) and
+    row query. ``candidates[task]`` holds (tokens, offsets) of the task's
+    candidates in pool order, led by the task token.
+    """
+    vocab: dict[str, int]
+    tokens: np.ndarray
+    offsets: np.ndarray
+    turns: np.ndarray
+    examples: np.ndarray
+    candidates: dict[TaskKind, tuple[np.ndarray, np.ndarray]]
+
+    def utterance_seqs(self, rows) -> tuple[np.ndarray, np.ndarray]:
+        """Flat ids and offsets of the sequences of utterance ``rows``."""
+        return _with_cls(self.tokens, self.offsets[rows], self.offsets[rows + 1])
+
+    def concat_seqs(self, first, last) -> tuple[np.ndarray, np.ndarray]:
+        """Utterance rows first..last of each context as one sequence,
+        truncated at the candidate length."""
+        lo = self.offsets[first]
+        return _with_cls(self.tokens, lo, np.minimum(
+            self.offsets[last + 1], lo + MAX_CANDIDATE_TOKENS - 1))
+
+    def candidate_seqs(self, task: TaskKind, rows) -> tuple[np.ndarray, np.ndarray]:
+        """Flat ids and offsets of the sequences of pool positions ``rows``."""
+        tokens, offsets = self.candidates[task]
+        return _with_cls(tokens, offsets[rows], offsets[rows + 1])
+
+
+def concat_ranges(lo, hi) -> tuple[np.ndarray, np.ndarray]:
+    """(i, v) for every value v of each range [lo[i], hi[i]), in order."""
+    lens = hi - lo
+    owner = np.repeat(np.arange(lens.size), lens)
+    return owner, np.arange(owner.size) + np.repeat(lo - np.cumsum(lens) + lens, lens)
+
+
+def _with_cls(tokens: np.ndarray, lo, hi) -> tuple[np.ndarray, np.ndarray]:
+    """CLS, then ``tokens[lo[i]:hi[i]]``, for each i: flat ids and offsets."""
+    offsets = np.append(0, np.cumsum(hi - lo + 1))
+    return np.insert(tokens[concat_ranges(lo, hi)[1]],
+                     offsets[:-1] - np.arange(lo.size), CLS_ID), offsets
+
+
+def _token_rows(texts: list[str], lead, vocab: dict[str, int],
+                max_len: int) -> tuple[np.ndarray, np.ndarray]:
+    """Each text's lead token and first ``max_len`` word ids (UNK for an
+    unknown word), as flat int32 tokens and offsets."""
+    lens = np.fromiter(map(len, map(str.split, texts)), np.intp, len(texts))
+    words = np.fromiter(
+        map(vocab.get, itertools.chain.from_iterable(map(str.split, texts)),
+            itertools.repeat(UNK_ID)), np.int32, lens.sum())
+    if lens.max(initial=0) > max_len:
+        words = words[concat_ranges(0 * lens, lens)[1] < max_len]
+        lens = np.minimum(lens, max_len)
+    offsets = np.append(0, np.cumsum(lens + 1)).astype(np.int32)
+    is_lead = np.zeros(offsets[-1], bool)
+    is_lead[offsets[:-1]] = True
+    tokens = np.empty(offsets[-1], np.int32)
+    tokens[offsets[:-1]] = lead
+    tokens[~is_lead] = words
+    return tokens, offsets
+
+
+def _compile_utterances(corpus: Corpus, vocab: dict[str, int]) -> TrainingInputs:
+    """Every utterance's tokens and every example's rows; no candidates."""
+    attr = operator.attrgetter
+    utts = [u for d in corpus.dialogues for s in d.sessions for u in s.utterances]
+    turns = np.fromiter(map(attr("turn_index"), utts), np.int64, len(utts))
+    user = np.fromiter(map(operator.is_, map(attr("role"), utts),
+                           itertools.repeat(Role.USER)), bool, len(utts))
+    sessions = np.array([len(d.sessions) for d in corpus.dialogues], np.intp)
+    lens = np.array([len(s.utterances) for d in corpus.dialogues
+                     for s in d.sessions], np.intp)
+    starts = np.cumsum(lens) - lens  # each session's first row
+    # (dialogue, turn) as one sortable key; a turn index repeated in a
+    # dialogue resolves to its last row, as in ``split_sessions``
+    span = int(turns.max(initial=0)) + 1
+    keys = np.repeat(np.repeat(np.arange(sessions.size), sessions), lens) * span + turns
+    order = np.argsort(keys, kind="stable")
+    index = {d.dialogue_id: i for i, d in enumerate(corpus.dialogues)}
+    exs = corpus.examples
+    dia = np.fromiter(map(index.get, map(attr("dialogue_id"), exs),
+                          itertools.repeat(-1)), np.intp, len(exs))
+    turn = np.fromiter(map(attr("query_turn_index"), exs), np.int64, len(exs))
+    at = np.searchsorted(keys[order], dia * span + turn, side="right") - 1
+    query = order[at]
+    bad = ((dia < 0) | (turn < 0) | (turn >= span) | (at < 0)
+           | (keys[query] != dia * span + turn) | ~user[query])
+    if np.any(bad):
+        ex = exs[int(np.argmax(bad))]
+        raise ContractError(f"dialogue {ex.dialogue_id} has no user turn "
+                            f"{ex.query_turn_index}")
+    # a single session splits into (user, system) units: nothing of the
+    # query's own unit precedes it
+    split = np.where(sessions[dia] == 1, query, np.repeat(starts, lens)[query])
+    first = starts[np.cumsum(sessions) - sessions][dia]
+    tokens, offsets = _token_rows(
+        list(map(attr("text"), utts)),
+        np.where(user, ROLE_TOKEN[Role.USER], ROLE_TOKEN[Role.SYSTEM]),
+        vocab, MAX_UTTERANCE_TOKENS)
+    return TrainingInputs(vocab, tokens, offsets, turns.astype(np.int32),
+                          np.stack([first, split, query], 1).astype(np.int32), {})
 
 
 def skip_positions(pick: int, skipped: list[int]) -> int:

@@ -5,29 +5,21 @@ marks the speaker role for utterances or the retrieval task for candidates.
 The encoder is an embedding mean followed by one linear layer with tanh:
 small enough to train in seconds, while both towers stay behind this
 interface so a heavier encoder could replace them. ``encode_batch`` encodes
-many sequences as the rows of one matrix; the single-item functions are its
-one-row case.
+many sequences, given as flat ids and offsets, as the rows of one matrix;
+the single-item functions are its one-row case.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import autodiff as ad
-from .corpus import (CLS_ID, KNOWLEDGE_ID, PERSONA_ID, RESPONSE_ID, SYS_ID,
-                     UNK_ID, USR_ID, Candidate, Role, TaskKind, Utterance,
+from .corpus import (CLS_ID, MAX_CANDIDATE_TOKENS, MAX_UTTERANCE_TOKENS,
+                     ROLE_TOKEN, TASK_TOKEN, UNK_ID, Candidate, Utterance,
                      derive_rng)
 from .errors import ContractError
-
-MAX_UTTERANCE_TOKENS = 64
-MAX_CANDIDATE_TOKENS = 512
-
-ROLE_TOKEN = {Role.USER: USR_ID, Role.SYSTEM: SYS_ID}
-TASK_TOKEN = {TaskKind.PERSONA: PERSONA_ID, TaskKind.KNOWLEDGE: KNOWLEDGE_ID,
-              TaskKind.RESPONSE: RESPONSE_ID}
 
 
 @dataclass
@@ -71,14 +63,12 @@ def tokenize(text: str, vocab: dict[str, int], max_len: int) -> list[int]:
     return [vocab.get(tok, UNK_ID) for tok in text.split()[:max_len]]
 
 
-def encode_batch(seqs: list[list[int]], params: EncoderParams,
-                 tape: ad.Tape | None = None,
-                 positions: list[int] | None = None) -> ad.Tensor:
-    """Rows tanh(W . mean(embed(ids)) + b), one per id sequence, as an N x d
-    matrix; with ``positions`` (one per row) and an enabled position table,
-    each row's position vector is added to its mean first."""
-    offsets = list(itertools.accumulate(map(len, seqs), initial=0))
-    ids = np.fromiter(itertools.chain.from_iterable(seqs), np.intp, offsets[-1])
+def encode_batch(ids, offsets, params: EncoderParams,
+                 tape: ad.Tape | None = None, positions=None) -> ad.Tensor:
+    """Rows tanh(W . mean(embed(ids[offsets[i]:offsets[i + 1]])) + b), one per
+    sequence, as an N x d matrix; with ``positions`` (one per row) and an
+    enabled position table, each row's position vector is added to its mean
+    first."""
     m = ad.segment_mean(params.embedding, ids, offsets, tape)
     if params.position is not None and positions is not None:
         idx = np.minimum(positions, params.position.shape[0] - 1)
@@ -91,7 +81,7 @@ def encode_ids(ids: list[int], params: EncoderParams,
                tape: ad.Tape | None = None,
                position: int | None = None) -> ad.Tensor:
     """One sequence through ``encode_batch``, as a vector."""
-    rows = encode_batch([ids], params, tape,
+    rows = encode_batch(ids, [0, len(ids)], params, tape,
                         None if position is None else [position])
     return ad.reshape(rows, (params.dim,), tape)
 

@@ -12,16 +12,18 @@ encoding unweighted (the degraded variant used for comparison runs).
 from __future__ import annotations
 
 import enum
+import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import autodiff as ad
-from .corpus import CLS_ID, Dialogue, Utterance, derive_rng, split_sessions
-from .encoder import (MAX_CANDIDATE_TOKENS, MAX_UTTERANCE_TOKENS, ROLE_TOKEN,
-                      EncoderParams, encode_batch, encode_ids,
-                      encode_utterance, tokenize, utterance_ids)
+from .corpus import (CLS_ID, MAX_CANDIDATE_TOKENS, MAX_UTTERANCE_TOKENS,
+                     ROLE_TOKEN, Dialogue, TrainingInputs, Utterance,
+                     concat_ranges, derive_rng, split_sessions)
+from .encoder import (EncoderParams, encode_batch, encode_ids,
+                      encode_utterance, tokenize)
 from .errors import ConfigError, ContractError
 
 
@@ -163,56 +165,54 @@ def encode_context(d: Dialogue, query_turn: int, mode: ContextMode,
     return h_d
 
 
-def encode_contexts(queries: list[tuple[Dialogue, int]], mode: ContextMode,
+def encode_contexts(inputs: TrainingInputs, examples, mode: ContextMode,
                     enc: EncoderParams, fusion: FusionParams,
                     tape: ad.Tape | None = None,
                     frozen_selection: list[list[int]] | None = None) -> ad.Tensor:
-    """``encode_context`` for a batch of (dialogue, query turn) pairs, as
-    the rows of one B x d matrix built from matrix ops.
+    """``encode_context`` for a batch of compiled examples (rows of
+    ``inputs.examples``), as the rows of one B x d matrix built from matrix
+    ops.
 
-    Every distinct utterance (keyed by dialogue and turn) is encoded once.
-    Previous-session utterances are scored off-tape and only the chosen
-    ones are encoded on the tape. Attention is a masked row-softmax over
-    the B x N scores against all encoded utterances; a context without
-    history attends to its own query row alone, which returns the query
-    encoding unchanged through the gate. ``frozen_selection`` gives each
-    context's pinned previous-turn indices.
+    Previous-session utterances are encoded off-tape and scored as one
+    padded B x P product; each row's top-K is a stable row-wise argsort,
+    with ``topk_indices``'s tie-breaking. The chosen, current-session and
+    query rows are then encoded once each on the tape, deduplicated by row.
+    Attention is a masked row-softmax over the B x N scores against them; a
+    context without history attends to its own query row alone, which
+    returns the query encoding unchanged through the gate.
+    ``frozen_selection`` gives each context's pinned previous-turn indices.
     """
-    splits = [split_sessions(d, t) for d, t in queries]
+    start, split, query = inputs.examples[examples].T
     if mode.kind is ModeKind.FULL_CONCAT:
-        return encode_batch([_concat_ids(p + c + [q], enc.vocab)
-                             for p, c, q in splits], enc, tape)
-
-    if mode.kind is not ModeKind.ADAPTIVE:
-        chosen = [[] for _ in splits]
-    elif frozen_selection is not None:
-        chosen = [list(sel) for sel in frozen_selection]
-    else:
-        chosen = _select_prev(queries, splits, mode.k, enc)
-
-    table = _UtteranceTable()
-    q_rows, hist_rows = [], []
-    for (d, _), (prev, curr, last), sel in zip(queries, splits, chosen):
-        q_rows.append(table.row(d, last))
-        if mode.kind is ModeKind.MEAN_ALL:
-            hist_rows.append([table.row(d, u) for u in prev + curr + [last]])
+        return encode_batch(*inputs.concat_seqs(start, query), enc, tape)
+    # (context, row) pairs of each context's history: every row through the
+    # query under MEAN_ALL, else the current session's, then the chosen ones
+    ctx, rows = (concat_ranges(start, query + 1) if mode.kind is ModeKind.MEAN_ALL
+                 else concat_ranges(split, query))
+    if mode.kind is ModeKind.ADAPTIVE:
+        if frozen_selection is None:
+            chosen, picks = _top_prev(inputs, start, split, query, mode.k, enc)
         else:
-            hist_rows.append([table.row(d, prev[i]) for i in sel]
-                             + [table.row(d, u) for u in curr])
-    U = table.encode(enc, tape)
+            chosen = np.repeat(np.arange(query.size), list(map(len, frozen_selection)))
+            picks = np.fromiter(itertools.chain(*frozen_selection), np.intp,
+                                chosen.size)
+        ctx, rows = np.append(chosen, ctx), np.append(start[chosen] + picks, rows)
+    need, inverse = np.unique(np.append(rows, query), return_inverse=True)
+    U = encode_batch(*inputs.utterance_seqs(need), enc, tape, inputs.turns[need])
+    cols, q_cols = inverse[:rows.size], inverse[rows.size:]
 
-    b, n = len(queries), len(table.utts)
+    b, n = query.size, need.size
     if mode.kind is ModeKind.MEAN_ALL:
         weights = np.zeros((b, n))
-        for i, hist in enumerate(hist_rows):
-            weights[i, hist] = 1.0 / len(hist)
+        weights[ctx, cols] = 1.0 / (query + 1 - start)[ctx]
         return ad.matmul(ad.Tensor(weights), U, tape)
 
     mask = np.zeros((b, n), dtype=bool)
-    for i, hist in enumerate(hist_rows):
-        mask[i, hist or [q_rows[i]]] = True
+    mask[ctx, cols] = True
+    lone = ~mask.any(axis=1)
+    mask[lone, q_cols[lone]] = True
     dim = enc.dim
-    Q = ad.gather(U, q_rows, tape)
+    Q = ad.gather(U, q_cols, tape)
     scores = ad.scale(ad.matmul(Q, ad.transpose(U, tape), tape),
                       1.0 / math.sqrt(dim), tape)
     H = ad.matmul(ad.masked_softmax(scores, mask, tape), U, tape)
@@ -226,33 +226,22 @@ def encode_contexts(queries: list[tuple[Dialogue, int]], mode: ContextMode,
     return ad.add(Q, ad.mul(ad.sub(H, Q, tape), lam, tape), tape)
 
 
-class _UtteranceTable:
-    """Distinct utterances in first-seen order, keyed by (dialogue, turn)."""
-
-    def __init__(self):
-        self.rows: dict[tuple[str, int], int] = {}
-        self.utts: list[Utterance] = []
-
-    def row(self, d: Dialogue, u: Utterance) -> int:
-        key = (d.dialogue_id, u.turn_index)
-        if key not in self.rows:
-            self.rows[key] = len(self.utts)
-            self.utts.append(u)
-        return self.rows[key]
-
-    def encode(self, enc: EncoderParams, tape: ad.Tape | None) -> ad.Tensor:
-        return encode_batch([utterance_ids(u, enc.vocab) for u in self.utts],
-                            enc, tape, [u.turn_index for u in self.utts])
-
-
-def _select_prev(queries, splits, k: int, enc: EncoderParams) -> list[list[int]]:
-    """Top-k previous-utterance indices per context, scored off-tape with
-    every distinct query and previous utterance encoded once."""
-    table = _UtteranceTable()
-    picks = [([table.row(d, u) for u in prev], table.row(d, last)) if prev else None
-             for (d, _), (prev, _, last) in zip(queries, splits)]
-    if not table.utts:
-        return [[] for _ in splits]
-    U = table.encode(enc, None).values
-    return [[] if pick is None else topk_indices(U[pick[0]] @ U[pick[1]], k)
-            for pick in picks]
+def _top_prev(inputs: TrainingInputs, start, split, query, k: int,
+              enc: EncoderParams) -> tuple[np.ndarray, np.ndarray]:
+    """(context, previous-turn index) pairs of each context's top-k previous
+    utterances by dot product with its query, each distinct row encoded
+    once off-tape."""
+    counts = split - start
+    width = int(counts.max(initial=0))
+    valid = np.arange(width) < counts[:, None]
+    grid = start[:, None] + np.arange(width)
+    need, inverse = np.unique(np.append(grid[valid], query), return_inverse=True)
+    V = encode_batch(*inputs.utterance_seqs(need), enc, None,
+                     inputs.turns[need]).values
+    prev = np.zeros((query.size, width, enc.dim))
+    prev[valid] = V[inverse[:-query.size]]
+    scores = np.matmul(prev, V[inverse[-query.size:], :, None])[..., 0]
+    scores[~valid] = -np.inf  # sorts last
+    top = np.sort(np.argsort(-scores, axis=1, kind="stable")[:, :k], axis=1)
+    keep = top < counts[:, None]
+    return np.nonzero(keep)[0], top[keep]

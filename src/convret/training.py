@@ -13,16 +13,17 @@ from __future__ import annotations
 
 import enum
 import json
+import math
+import os
 import struct
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import autodiff as ad
-from .corpus import (Corpus, TaskKind, derive_rng, replace_on_success,
-                     semi_hard_id, skip_positions)
-from .encoder import (EncoderParams, candidate_ids, encode_batch,
-                      init_encoder_params)
+from .corpus import (Corpus, TaskKind, TrainingInputs, derive_rng,
+                     replace_on_success, semi_hard_id, skip_positions)
+from .encoder import EncoderParams, encode_batch, init_encoder_params
 from .errors import CheckpointError, ConfigError, TrainingError
 from .fusion import (ContextMode, FusionParams, ModeKind, encode_contexts,
                      init_fusion_params)
@@ -236,13 +237,20 @@ def load_checkpoint(path) -> Checkpoint:
         except (KeyError, TypeError, ValueError, ConfigError) as exc:
             raise CheckpointError(
                 f"invalid checkpoint header: {type(exc).__name__}: {exc}") from exc
-        arrays: dict[str, np.ndarray] = {}
+        # every declared size must fit the bytes left before any is read
+        left = os.fstat(fh.fileno()).st_size - fh.tell()
         for name, shape in declared:
-            count = int(np.prod(shape)) if shape else 1
-            buf = _read_exact(fh, count * 8)
-            arrays[name] = np.frombuffer(buf, dtype="<f8").reshape(shape).copy()
-        if fh.read(1):
-            raise CheckpointError("trailing bytes after declared arrays")
+            if not all(0 <= n <= left for n in shape):
+                raise CheckpointError(
+                    f"invalid checkpoint header: array {name} has shape {shape}")
+        size = 8 * sum(math.prod(shape) for _, shape in declared)
+        if size != left:
+            raise CheckpointError(
+                f"truncated checkpoint file: arrays need {size} bytes, {left} left"
+                if size > left else "trailing bytes after declared arrays")
+        arrays = {name: np.frombuffer(_read_exact(fh, 8 * math.prod(shape)),
+                                      dtype="<f8").reshape(shape).copy()
+                  for name, shape in declared}
     params = {n: a for n, a in arrays.items() if "." not in n}
     missing = [f"{kind}.{n}" for n in params for kind in "mv"
                if f"{kind}.{n}" not in arrays]
@@ -260,28 +268,31 @@ def load_checkpoint(path) -> Checkpoint:
 # training loop
 # ---------------------------------------------------------------------------
 
-def _task_examples(corpus: Corpus, cfg: TrainConfig) -> dict[TaskKind, list]:
+def _task_examples(corpus: Corpus, cfg: TrainConfig) -> dict[TaskKind, np.ndarray]:
+    """Each trained task's example indices into ``corpus.examples``."""
+    by_task = {t: np.array([e for e, ex in enumerate(corpus.examples) if ex.task == t],
+                           dtype=np.intp)
+               for t in TaskKind if cfg.regime in (None, t)}
     if cfg.regime is not None:
-        exs = [e for e in corpus.examples if e.task == cfg.regime]
-        if len(exs) < cfg.batch_size:
+        if by_task[cfg.regime].size < cfg.batch_size:
             raise ConfigError(
-                f"{cfg.regime.value} has {len(exs)} examples, "
+                f"{cfg.regime.value} has {by_task[cfg.regime].size} examples, "
                 f"need at least {cfg.batch_size}")
-        return {cfg.regime: exs}
-    by_task = {t: [e for e in corpus.examples if e.task == t] for t in TaskKind}
-    usable = {t: exs for t, exs in by_task.items() if len(exs) >= cfg.batch_size}
+        return by_task
+    usable = {t: rows for t, rows in by_task.items() if rows.size >= cfg.batch_size}
     if not usable:
         raise ConfigError(f"no task has {cfg.batch_size} examples to fill a batch")
     return usable
 
 
-def _epoch_batches(tasks: dict[TaskKind, list], cfg: TrainConfig, epoch: int):
-    """Task-homogeneous batches, tasks interleaved round-robin, drop-last."""
+def _epoch_batches(tasks: dict[TaskKind, np.ndarray], cfg: TrainConfig, epoch: int):
+    """Task-homogeneous batches of example indices, tasks interleaved
+    round-robin, drop-last."""
     per_task = {}
-    for t, exs in tasks.items():
-        order = derive_rng(cfg.seed, "shuffle", t.value, epoch).permutation(len(exs))
-        n_full = len(exs) // cfg.batch_size
-        per_task[t] = [[exs[i] for i in order[b * cfg.batch_size:(b + 1) * cfg.batch_size]]
+    for t, rows in tasks.items():
+        order = derive_rng(cfg.seed, "shuffle", t.value, epoch).permutation(rows.size)
+        n_full = rows.size // cfg.batch_size
+        per_task[t] = [rows[order[b * cfg.batch_size:(b + 1) * cfg.batch_size]]
                        for b in range(n_full)]
     longest = max(len(b) for b in per_task.values())
     for i in range(longest):
@@ -291,8 +302,8 @@ def _epoch_batches(tasks: dict[TaskKind, list], cfg: TrainConfig, epoch: int):
 
 
 def steps_per_epoch(corpus: Corpus, cfg: TrainConfig) -> int:
-    return sum(len(exs) // cfg.batch_size
-               for exs in _task_examples(corpus, cfg).values())
+    return sum(rows.size // cfg.batch_size
+               for rows in _task_examples(corpus, cfg).values())
 
 
 def _easy_negative(ex, epoch: int, seed: int, corpus: Corpus) -> str:
@@ -314,47 +325,39 @@ def _easy_negative(ex, epoch: int, seed: int, corpus: Corpus) -> str:
     return ids[skip_positions(pick, skipped)]
 
 
-def _batch_loss(corpus: Corpus, batch, params: dict[str, ad.Tensor],
-                cfg: TrainConfig, vocab: dict[str, int], epoch: int,
+def _batch_loss(corpus: Corpus, inputs: TrainingInputs, batch: np.ndarray,
+                params: dict[str, ad.Tensor], cfg: TrainConfig, epoch: int,
                 tape: ad.Tape, frozen_selection: list[list[int]] | None = None):
-    """The batch's combined loss as one graph: contexts and distinct
-    candidates are encoded as matrices, and every score is an entry of
-    their B x N product."""
+    """The combined loss of a one-task batch of example indices, as one
+    graph over the corpus's compiled ``inputs``: contexts and the distinct
+    candidates (by pool position) are encoded as matrices, and every score
+    is an entry of their B x N product."""
     enc = EncoderParams(params["embedding"], params["ff_weight"],
-                        params["ff_bias"], vocab, params.get("position"))
-    fus = FusionParams(params["gate_w"])
-    contexts = encode_contexts(
-        [(corpus.dialogue(ex.dialogue_id), ex.query_turn_index) for ex in batch],
-        cfg.mode, enc, fus, tape, frozen_selection)
+                        params["ff_bias"], inputs.vocab, params.get("position"))
+    contexts = encode_contexts(inputs, batch, cfg.mode, enc,
+                               FusionParams(params["gate_w"]), tape,
+                               frozen_selection)
+    exs = [corpus.examples[e] for e in batch]
+    task = exs[0].task
+    _, position = corpus.pool_order(task)
+    semis = [semi_hard_id(ex) for ex in exs]
+    present = np.array([semi is not None for semi in semis])
+    # an absent semi-hard score is never read; point it at the positive
+    ids = ([ex.positive_id for ex in exs]
+           + [ex.positive_id if semi is None else semi for ex, semi in zip(exs, semis)]
+           + [_easy_negative(ex, epoch, cfg.seed, corpus) for ex in exs])
+    need, inverse = np.unique([position[cid] for cid in ids], return_inverse=True)
+    pos_cols, semi_cols, easy_cols = inverse.reshape(3, -1)
+    cand_rows = encode_batch(*inputs.candidate_seqs(task, need), enc, tape)
 
-    cols: dict[tuple[TaskKind, str], int] = {}  # (task, id) -> candidate row
-    cands = []
-
-    def col(task: TaskKind, cid: str) -> int:
-        if (task, cid) not in cols:
-            cols[task, cid] = len(cands)
-            cands.append(corpus.candidate(task, cid))
-        return cols[task, cid]
-
-    pos_cols, semi_cols, easy_cols, present = [], [], [], []
-    for ex in batch:
-        pos_cols.append(col(ex.task, ex.positive_id))
-        semi = semi_hard_id(ex)
-        present.append(semi is not None)
-        # an absent semi-hard score is never read; point it at the positive
-        semi_cols.append(pos_cols[-1] if semi is None else col(ex.task, semi))
-        easy_cols.append(col(ex.task,
-                             _easy_negative(ex, epoch, cfg.seed, corpus)))
-    cand_rows = encode_batch([candidate_ids(c, vocab) for c in cands], enc, tape)
-
-    b, n = len(batch), len(cands)
+    b, n = len(batch), need.size
     scores = ad.reshape(ad.matmul(contexts, ad.transpose(cand_rows, tape), tape),
                         (b * n,), tape)
     base = np.arange(b) * n
-    cross = ad.gather(scores, base[:, None] + np.array(pos_cols)[None, :], tape)
+    cross = ad.gather(scores, base[:, None] + pos_cols[None, :], tape)
     sims = batch_similarities(cross, ad.gather(scores, base + semi_cols, tape),
                               ad.gather(scores, base + easy_cols, tape),
-                              np.array(present), tape)
+                              present, tape)
     return combined_loss(sims, cfg.loss_config(), tape)
 
 
@@ -370,26 +373,24 @@ def train(corpus: Corpus, cfg: TrainConfig, start: Checkpoint | None = None,
     tasks = _task_examples(corpus, cfg)
     if start is None:
         start = initial_checkpoint(corpus, cfg)
-    vocab = start.vocab
+    inputs = corpus.training_inputs(start.vocab, tasks)
     params = start.tensors()
     state = OptimizerState(start.step, dict(start.moments_m),
                            dict(start.moments_v))
     done = start.step
-
-    per_epoch = sum(len(exs) // cfg.batch_size for exs in tasks.values())
-    total_steps = cfg.epochs * per_epoch
+    total_steps = cfg.epochs * steps_per_epoch(corpus, cfg)
     history: list[float] = []
     step = 0
     performed = 0
     for epoch in range(cfg.epochs):
-        for task, batch in _epoch_batches(tasks, cfg, epoch):
+        for _, batch in _epoch_batches(tasks, cfg, epoch):
             step += 1
             if step <= done:
                 continue
             if max_steps is not None and performed >= max_steps:
                 break
             tape = ad.Tape()
-            loss = _batch_loss(corpus, batch, params, cfg, vocab, epoch, tape)
+            loss = _batch_loss(corpus, inputs, batch, params, cfg, epoch, tape)
             value = loss.item()
             if not np.isfinite(value):
                 raise TrainingError(f"non-finite loss at step {step}")
@@ -412,9 +413,9 @@ def train(corpus: Corpus, cfg: TrainConfig, start: Checkpoint | None = None,
             continue
         break
 
-    ck = Checkpoint(arrays={n: params[n].values for n in params},
+    ck = Checkpoint(arrays={n: params[n].values.copy() for n in params},
                     moments_m=dict(state.m), moments_v=dict(state.v),
-                    vocab=dict(vocab), cfg=cfg, step=state.step)
+                    vocab=dict(start.vocab), cfg=cfg, step=state.step)
     return ck, history
 
 
@@ -426,6 +427,6 @@ def initial_checkpoint(corpus: Corpus, cfg: TrainConfig) -> Checkpoint:
     params = dict(enc.tensors())
     params.update(init_fusion_params(cfg.dim, cfg.seed).tensors())
     state = OptimizerState.for_params(params)
-    return Checkpoint(arrays={n: t.values for n, t in params.items()},
+    return Checkpoint(arrays={n: t.values.copy() for n, t in params.items()},
                       moments_m=state.m, moments_v=state.v,
                       vocab=dict(corpus.vocab), cfg=cfg, step=0)

@@ -1,21 +1,30 @@
 """The batched training graph against the per-example reference.
 
-Training builds one tape graph per batch (``training._batch_loss``). The
+Training builds one tape graph per batch (``training._batch_loss``) over
+the corpus compiled into index arrays (``Corpus.training_inputs``). The
 reference composes the per-example path that evaluation uses: one
 ``encode_context`` and one ``encode_candidate`` per item, stacked into the
-same losses. Both must give the same loss and parameter gradients.
+same losses. Both must give the same loss and parameter gradients, and the
+compiled arrays must hold exactly what the per-example path reads.
 """
 
 import numpy as np
 import pytest
 
 import convret.autodiff as ad
-from convret.corpus import TaskKind, derive_rng, semi_hard_id, split_sessions
-from convret.encoder import EncoderParams, encode_candidate, init_encoder_params
+import convret.fusion as fusion
+import convret.training as training
+from convret.corpus import (Candidate, Dialogue, RetrievalExample, Role,
+                            Session, TaskKind, Utterance, build_corpus,
+                            derive_rng, semi_hard_id, split_sessions)
+from convret.encoder import (EncoderParams, candidate_ids, encode_candidate,
+                             encode_utterance, init_encoder_params,
+                             utterance_ids)
 from convret.fusion import (ContextMode, FusionParams, encode_context,
-                            init_fusion_params)
+                            init_fusion_params, topk_indices)
+from convret.generator import GeneratorConfig, generate_synthetic
 from convret.losses import batch_similarities, combined_loss
-from convret.training import TrainConfig, _batch_loss, _easy_negative
+from convret.training import TrainConfig, _batch_loss, _easy_negative, train
 
 from test_acceptance import TINY
 
@@ -23,6 +32,12 @@ MODES = {"adaptive": ContextMode.adaptive(2),
          "full_concat": ContextMode.full_concat(),
          "no_prev": ContextMode.no_prev(), "mean_all": ContextMode.mean_all()}
 EPOCH = 1
+INPUTS = TINY.training_inputs(TINY.vocab, TaskKind)
+
+
+def _rows(batch):
+    """The examples' indices into ``TINY.examples``."""
+    return np.array([TINY.examples.index(ex) for ex in batch])
 
 
 def _batch(task, seed):
@@ -109,8 +124,8 @@ def test_batched_loss_and_gradients_match_per_example_path(mode, positions, froz
         params = _params(cfg)
         sel = _frozen(batch, cfg.mode.k, cfg.seed) if frozen else None
         got, got_g, nodes = _loss_and_grads(
-            lambda tape, p: _batch_loss(TINY, batch, p, cfg, TINY.vocab, EPOCH,
-                                        tape, sel), params)
+            lambda tape, p: _batch_loss(TINY, INPUTS, _rows(batch), p, cfg,
+                                        EPOCH, tape, sel), params)
         want, want_g, ref_nodes = _loss_and_grads(
             lambda tape, p: _reference_loss(batch, p, cfg, tape, sel),
             params)
@@ -129,9 +144,118 @@ def test_batched_loss_passes_gradient_check_with_frozen_selection():
 
     def f(p):
         tape = ad.Tape()
-        return tape, _batch_loss(TINY, batch, p, cfg, TINY.vocab, EPOCH, tape,
-                                 sel)
+        return tape, _batch_loss(TINY, INPUTS, _rows(batch), p, cfg, EPOCH,
+                                 tape, sel)
 
     err = ad.grad_check(f, _params(cfg), eps=1e-5,
                         rng=np.random.default_rng(5), max_coords=80)
     assert err < 1e-5
+
+
+def _small_corpus(sessions, turns, seed):
+    return generate_synthetic(GeneratorConfig(
+        topics=6, dialogues_per_task=8, sessions_per_dialogue=sessions,
+        turns_per_session=turns, words_per_topic=8, common_words=6,
+        entities=6, utterance_words=4), seed)
+
+
+def _long_corpus():
+    """Texts past the utterance and candidate lengths, with unknown words."""
+    words = [f"w{i % 7}" for i in range(70)]
+    utts = [Utterance(Role.USER if t % 2 == 0 else Role.SYSTEM,
+                      " ".join(words[t:] + words[:t]), t) for t in range(12)]
+    dialogue = Dialogue("long", (Session(tuple(utts[:8])), Session(tuple(utts[8:]))))
+    pools = {t: {f"{t.value}{i}": Candidate(f"{t.value}{i}", t,
+                                            " ".join(words * (i + 8)))
+                 for i in range(3)} for t in TaskKind}
+    examples = [RetrievalExample("long", 10, t, f"{t.value}0", (f"{t.value}1",))
+                for t in TaskKind]
+    return build_corpus([dialogue], pools, examples)
+
+
+def _seqs(ids, offsets):
+    return [ids[a:b].tolist() for a, b in zip(offsets, offsets[1:])]
+
+
+@pytest.mark.parametrize("corpus,drop", [
+    (TINY, ()), (_small_corpus(1, 3, 5), ()), (_long_corpus(), ("w3", "w5"))],
+    ids=["tiny", "single_session", "long_texts"])
+def test_compiled_rows_reproduce_the_per_item_inputs(corpus, drop):
+    vocab = {w: i for w, i in corpus.vocab.items() if w not in drop}
+    inputs = corpus.training_inputs(vocab, TaskKind)
+    for e, ex in enumerate(corpus.examples):
+        prev, curr, last = split_sessions(corpus.dialogue(ex.dialogue_id),
+                                          ex.query_turn_index)
+        start, split, query = inputs.examples[e]
+        assert (split - start, query - split) == (len(prev), len(curr))
+        rows = np.arange(start, query + 1)
+        utts = prev + curr + [last]
+        assert _seqs(*inputs.utterance_seqs(rows)) == [
+            utterance_ids(u, vocab) for u in utts]
+        assert inputs.turns[rows].tolist() == [u.turn_index for u in utts]
+        assert _seqs(*inputs.concat_seqs(rows[:1], rows[-1:])) == [
+            fusion._concat_ids(utts, vocab)]
+    for task in TaskKind:
+        ids, _ = corpus.pool_order(task)
+        assert _seqs(*inputs.candidate_seqs(task, np.arange(len(ids)))) == [
+            candidate_ids(corpus.pools[task][cid], vocab) for cid in ids]
+
+
+def test_compiled_selection_matches_per_item_top_k_over_a_run(monkeypatch):
+    corpus = _small_corpus(4, 2, 9)
+    cfg = TrainConfig(batch_size=4, dim=8, seed=3, positions=6,
+                      mode=ContextMode.adaptive(2))
+    picked = []
+    top_prev = fusion._top_prev
+
+    def recording(*args):
+        picked.append(top_prev(*args))
+        return picked[-1]
+
+    encode_contexts = training.encode_contexts
+    checked = []
+
+    def checking(inputs, batch, mode, enc, fus, tape=None, frozen=None):
+        out = encode_contexts(inputs, batch, mode, enc, fus, tape, frozen)
+        ctx, picks = picked.pop()
+        for i, e in enumerate(batch):
+            ex = corpus.examples[e]
+            prev, _, last = split_sessions(corpus.dialogue(ex.dialogue_id),
+                                           ex.query_turn_index)
+            h = encode_utterance(last, enc, position=last.turn_index).values
+            scores = np.array([float(np.dot(h, encode_utterance(
+                u, enc, position=u.turn_index).values)) for u in prev])
+            want = topk_indices(scores, mode.k) if prev else []
+            assert picks[ctx == i].tolist() == want
+            checked.append(len(prev) > mode.k)
+        return out
+
+    monkeypatch.setattr(fusion, "_top_prev", recording)
+    monkeypatch.setattr(training, "encode_contexts", checking)
+    _, history = train(corpus, cfg, max_steps=30)
+    assert len(history) == 30 and len(checked) == 30 * cfg.batch_size
+    assert sum(checked) >= 30  # contexts where the choice is a real top-k
+
+
+def test_compiled_selection_breaks_ties_toward_the_earlier_turn():
+    # repeated texts encode identically (no position table), so the query
+    # ties with both copies; each k must pick what topk_indices picks
+    texts = ["a b", "c d", "a b", "c d", "e f", "a b", "a b"]
+    utts = [Utterance(Role.USER if t % 2 == 0 else Role.SYSTEM, text, t)
+            for t, text in enumerate(texts)]
+    dialogue = Dialogue("ties", (Session(tuple(utts[:4])), Session(tuple(utts[4:]))))
+    pools = {t: {f"{t.value}{i}": Candidate(f"{t.value}{i}", t, "a c")
+                 for i in range(2)} for t in TaskKind}
+    corpus = build_corpus([dialogue], pools, [
+        RetrievalExample("ties", 6, TaskKind.PERSONA, "persona0", ())])
+    inputs = corpus.training_inputs(corpus.vocab, ())
+    enc = init_encoder_params(corpus.vocab, d=4, seed=2)
+    prev, _, last = split_sessions(dialogue, 6)
+    h = encode_utterance(last, enc).values
+    scores = np.array([float(np.dot(h, encode_utterance(u, enc).values))
+                       for u in prev])
+    assert scores[0] == scores[2]
+    start, split, query = inputs.examples[[0]].T
+    for k in (1, 2, 3, 4):
+        _, picks = fusion._top_prev(inputs, start, split, query, k, enc)
+        assert picks.tolist() == topk_indices(scores, k)

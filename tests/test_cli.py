@@ -171,6 +171,41 @@ def test_invalid_pool_size_fails_with_one_line(tmp_path, capsys):
         assert size in stderr
 
 
+@pytest.mark.parametrize("shape", [[10**7, 10**7], [-3, 2], [2**62]])
+def test_impossible_checkpoint_shape_fails_with_one_line(tmp_path, capsys, shape):
+    corpus_path, ckpt = pipeline(tmp_path, capsys)
+    blob = ckpt.read_bytes()
+    (n,) = struct.unpack("<I", blob[4:8])
+    header = json.loads(blob[8:8 + n])
+    header["arrays"][0][1] = shape
+    payload = json.dumps(header).encode()
+    ckpt.write_bytes(blob[:4] + struct.pack("<I", len(payload)) + payload
+                     + blob[8 + n:])
+    code, stdout, stderr = run(capsys, "eval", "--corpus", str(corpus_path),
+                               "--ckpt", str(ckpt), "--task", "persona")
+    assert code == 1
+    assert stdout == ""
+    assert stderr.startswith("convret: invalid checkpoint header")
+    assert stderr.count("\n") == 1
+
+
+@pytest.mark.parametrize("flag,value", [
+    ("--sizes", ",,,"), ("--sizes", "8,8"), ("--ks", ""), ("--ks", "2,1,2"),
+    ("--variants", ","), ("--variants", "no_pair,no_pair")])
+def test_list_flags_reject_empty_and_repeated_values(tmp_path, capsys, flag,
+                                                     value):
+    corpus_path, ckpt = pipeline(tmp_path, capsys)
+    command = {"--sizes": ["sweep-pool", "--ckpt", str(ckpt), "--task", "persona"],
+               "--ks": ["sweep-k", "--ckpt", str(ckpt), "--task", "persona"],
+               "--variants": ["ablate", *TRAIN_OPTS]}[flag]
+    code, stdout, stderr = run(capsys, *command, "--corpus", str(corpus_path),
+                               flag, value)
+    assert code == 1
+    assert stdout == ""
+    assert stderr.startswith(f"convret: {flag} needs one or more distinct values")
+    assert stderr.count("\n") == 1
+
+
 def test_parser_rejects_unknown_command():
     with pytest.raises(SystemExit):
         build_parser().parse_args(["frobnicate"])

@@ -2,11 +2,13 @@
 
 import json
 import struct
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import convret.autodiff as ad
+import convret.corpus as corpus_mod
 from convret.corpus import Candidate, TaskKind, load_corpus, write_corpus
 from convret.encoder import encode_candidate
 from convret.errors import CheckpointError, ConfigError, TrainingError
@@ -146,6 +148,28 @@ def test_single_regime_never_touches_other_pools():
     assert corpus.pool_reads[TaskKind.RESPONSE] == 0
 
 
+def test_trainings_with_equal_vocabularies_compile_the_corpus_once(monkeypatch):
+    calls = []
+    compile_utterances = corpus_mod._compile_utterances
+
+    def counted(corpus, vocab):
+        calls.append(vocab)
+        return compile_utterances(corpus, vocab)
+
+    monkeypatch.setattr(corpus_mod, "_compile_utterances", counted)
+    corpus = tiny_corpus()
+    cfg = tiny_train_cfg(regime=TaskKind.PERSONA)
+    first, _ = train(corpus, cfg)
+    reads = dict(corpus.pool_reads)
+    again, _ = train(corpus, tiny_train_cfg(regime=TaskKind.PERSONA, seed=1))
+    assert len(calls) == 1 and corpus.pool_reads == reads
+    assert again.vocab == first.vocab and again.vocab is not first.vocab
+    # another vocabulary compiles anew
+    vocab = {**corpus.vocab, "extra": len(corpus.vocab)}
+    train(corpus, cfg, start=replace(initial_checkpoint(corpus, cfg), vocab=vocab))
+    assert len(calls) == 2
+
+
 def test_insufficient_examples_raise_config_error():
     corpus = tiny_corpus(dialogues=2)  # 2 examples per task
     with pytest.raises(ConfigError):
@@ -164,7 +188,7 @@ def test_full_regime_interleaves_tasks_round_robin():
     want = [t for _ in range(per) for t in TaskKind]
     assert seq == want
     for t, batch in _epoch_batches(tasks, cfg, epoch=0):
-        assert {e.task for e in batch} == {t}
+        assert {corpus.examples[e].task for e in batch} == {t}
         assert len(batch) == cfg.batch_size
 
 
@@ -222,13 +246,18 @@ def test_checkpoint_round_trip_is_bit_exact(tmp_path):
 
 def test_parameter_views_leave_checkpoint_arrays_writeable(tmp_path):
     corpus = tiny_corpus(dialogues=3)
-    save_checkpoint(initial_checkpoint(corpus, tiny_train_cfg()),
-                    tmp_path / "model.ckpt")
-    ck = load_checkpoint(tmp_path / "model.ckpt")
-    enc, fus = ck.encoder_params(), ck.fusion_params()
-    assert all(a.flags.writeable for a in ck.arrays.values())
-    assert not enc.embedding.values.flags.writeable
-    assert not fus.gate_w.values.flags.writeable
+    cfg = tiny_train_cfg(batch_size=2)
+    init = initial_checkpoint(corpus, cfg)
+    save_checkpoint(init, tmp_path / "model.ckpt")
+    loaded = load_checkpoint(tmp_path / "model.ckpt")
+    trained, _ = train(corpus, cfg, start=loaded)
+    for ck in (init, loaded, trained):
+        enc, fus = ck.encoder_params(), ck.fusion_params()
+        for arrays in (ck.arrays, ck.moments_m, ck.moments_v):
+            assert all(a.flags.writeable and a.flags.owndata
+                       for a in arrays.values())
+        assert not enc.embedding.values.flags.writeable
+        assert not fus.gate_w.values.flags.writeable
 
 
 def test_checkpoint_corruption_and_version_errors(tmp_path):
@@ -254,6 +283,17 @@ def test_checkpoint_corruption_and_version_errors(tmp_path):
         broken.write_bytes(edit(blob))
         with pytest.raises(CheckpointError, match="header"):
             load_checkpoint(broken)
+
+
+@pytest.mark.parametrize("shape", [[10**7, 10**7], [-3, 2], [2**62]])
+def test_impossible_array_shapes_are_rejected_before_reading(tmp_path, shape):
+    corpus = tiny_corpus(dialogues=3)
+    p = tmp_path / "model.ckpt"
+    save_checkpoint(initial_checkpoint(corpus, tiny_train_cfg()), p)
+    p.write_bytes(_edit_header(p.read_bytes(),
+                               lambda h: h["arrays"][0].__setitem__(1, shape)))
+    with pytest.raises(CheckpointError, match="header"):
+        load_checkpoint(p)
 
 
 def _edit_header(blob: bytes, edit) -> bytes:
