@@ -503,6 +503,19 @@ def backward(tape: Tape, output: Tensor) -> dict[int, Tensor]:
     return grads
 
 
+def gradients(tape: Tape, output: Tensor,
+              params: dict[str, Tensor]) -> dict[str, np.ndarray]:
+    """Gradient arrays of a scalar output by parameter name. A parameter off
+    the output's path, or every parameter when the output was never recorded
+    on the tape (a constant), gets zeros."""
+    grads = {} if tape.node_of(output) is None else backward(tape, output)
+    out = {}
+    for name, t in params.items():
+        nid = tape.node_of(t)
+        out[name] = grads[nid].values if nid in grads else np.zeros(t.shape)
+    return out
+
+
 # ---------------------------------------------------------------------------
 # finite-difference gradient checking
 # ---------------------------------------------------------------------------
@@ -528,14 +541,7 @@ def grad_check(f, params: dict[str, Tensor], eps: float = 1e-4,
         return tape, out, val
 
     tape, out, _ = evaluate(params)
-    grads = backward(tape, out)
-    analytic = {}
-    for name, t in params.items():
-        nid = tape.node_of(t)
-        if nid is not None and nid in grads:
-            analytic[name] = grads[nid].values
-        else:
-            analytic[name] = np.zeros(t.shape)
+    analytic = gradients(tape, out, params)
 
     coords = [(name, i) for name, t in params.items() for i in range(t.values.size)]
     if max_coords is not None and max_coords < len(coords):
@@ -544,20 +550,14 @@ def grad_check(f, params: dict[str, Tensor], eps: float = 1e-4,
         picked = rng.choice(len(coords), size=max_coords, replace=False)
         coords = [coords[i] for i in picked]
 
+    def shifted(name: str, i: int, delta: float) -> float:
+        bumped = params[name].values.copy()
+        bumped.flat[i] += delta
+        return evaluate({**params, name: Tensor(bumped, requires_grad=True)})[2]
+
     worst = 0.0
     for name, i in coords:
-        base = params[name].values
-        for sign in (+1.0, -1.0):
-            bumped = base.copy()
-            bumped.flat[i] += sign * eps
-            shifted = dict(params)
-            shifted[name] = Tensor(bumped, requires_grad=True)
-            _, _, val = evaluate(shifted)
-            if sign > 0:
-                f_plus = val
-            else:
-                f_minus = val
-        numeric = (f_plus - f_minus) / (2.0 * eps)
+        numeric = (shifted(name, i, eps) - shifted(name, i, -eps)) / (2.0 * eps)
         a = float(analytic[name].flat[i])
         err = abs(a - numeric) / max(abs(a), abs(numeric), 1e-8)
         worst = max(worst, err)

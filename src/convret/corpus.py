@@ -233,22 +233,33 @@ def build_corpus(dialogues, pools, examples) -> Corpus:
 # file format: newline-delimited JSON, one record per line
 # ---------------------------------------------------------------------------
 
+def _typed(value, kind: type, what: str):
+    """``value`` if it is a ``kind`` (a bool is no int), else TypeError."""
+    if not isinstance(value, kind) or kind is int and isinstance(value, bool):
+        raise TypeError(f"{what} is {type(value).__name__}, not {kind.__name__}")
+    return value
+
+
 def _parse_dialogue(rec: dict, lineno: int) -> tuple[Dialogue, list[RetrievalExample]]:
-    did = rec["id"]
+    did = _typed(rec["id"], str, "dialogue id")
     sessions = []
     turn = 0
     for sess in rec["sessions"]:
         utts = []
         for u in sess:
-            utts.append(Utterance(Role(u["role"]), u["text"], turn))
+            utts.append(Utterance(Role(u["role"]),
+                                  _typed(u["text"], str, "utterance text"), turn))
             turn += 1
         sessions.append(Session(tuple(utts)))
-    examples = [
-        RetrievalExample(did, int(e["turn"]), TaskKind(e["task"]),
-                         e["positive"], tuple(e.get("historical", [])))
-        for e in rec.get("examples", [])
-    ]
+    examples = [_parse_example(did, e) for e in rec.get("examples", [])]
     return Dialogue(did, tuple(sessions)), examples
+
+
+def _parse_example(did: str, e: dict) -> RetrievalExample:
+    historical = _typed(e.get("historical", []), list, "historical ids")
+    return RetrievalExample(did, _typed(e["turn"], int, "turn"), TaskKind(e["task"]),
+                            _typed(e["positive"], str, "positive id"),
+                            tuple(_typed(h, str, "historical id") for h in historical))
 
 
 def load_corpus(path) -> Corpus:
@@ -267,7 +278,9 @@ def load_corpus(path) -> Corpus:
             try:
                 kind = rec["kind"]
                 if kind == "candidate":
-                    cand = Candidate(rec["id"], TaskKind(rec["task"]), rec["text"])
+                    cand = Candidate(_typed(rec["id"], str, "candidate id"),
+                                     TaskKind(rec["task"]),
+                                     _typed(rec["text"], str, "candidate text"))
                     pool = pools[cand.task]
                     if cand.candidate_id in pool:
                         raise ParseError(

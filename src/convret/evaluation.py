@@ -144,7 +144,7 @@ def evaluate(corpus: Corpus, ck: Checkpoint, task: TaskKind, pool_size: int,
                       for c in sample_pool(ex, corpus, pool_size, seed)])
             for ex in examples]
     sampled = cache["rows", task, pool_size, seed]
-    enc = ck.encoder_params()
+    enc, fus = ck.views()
     if ("pool", task) not in cache:
         cache["pool", task] = (np.zeros((len(ids), enc.dim)),
                                np.zeros(len(ids), dtype=bool))
@@ -157,7 +157,6 @@ def evaluate(corpus: Corpus, ck: Checkpoint, task: TaskKind, pool_size: int,
         matrix[missing] = embed_pool([pool[ids[i]] for i in missing], enc).matrix
         embedded[missing] = True
     if ("contexts", task, mode) not in cache:
-        fus = ck.fusion_params()
         cache["contexts", task, mode] = [
             encode_context(corpus.dialogue(ex.dialogue_id), ex.query_turn_index,
                            mode, enc, fus) for ex in examples]
@@ -222,9 +221,10 @@ def ablation_run(train_corpus: Corpus, eval_corpus: Corpus,
 
     Returns {variant: {task value: R@1}} over the evaluation corpus.
     """
+    # every name is checked before the first variant trains
+    cfgs = {variant: variant_config(base_cfg, variant) for variant in variants}
     table: dict[str, dict[str, float]] = {}
-    for variant in variants:
-        cfg = variant_config(base_cfg, variant)
+    for variant, cfg in cfgs.items():
         ck, _ = train(train_corpus, cfg)
         table[variant] = {
             task.value: evaluate(eval_corpus, ck, task, pool_size,

@@ -11,12 +11,14 @@ little-endian float64 in a declared order.
 
 from __future__ import annotations
 
+import copy
 import enum
+import itertools
 import json
 import math
 import os
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -103,45 +105,27 @@ class TrainConfig:
 # optimizer
 # ---------------------------------------------------------------------------
 
-@dataclass
-class OptimizerState:
-    step: int = 0
-    m: dict[str, np.ndarray] = field(default_factory=dict)
-    v: dict[str, np.ndarray] = field(default_factory=dict)
-
-    @staticmethod
-    def for_params(params: dict[str, ad.Tensor]) -> "OptimizerState":
-        return OptimizerState(
-            0,
-            {k: np.zeros(t.shape) for k, t in params.items()},
-            {k: np.zeros(t.shape) for k, t in params.items()})
-
-
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 
 
-def optimizer_step(params: dict[str, ad.Tensor], grads: dict[str, np.ndarray],
-                   state: OptimizerState, lr_t: float,
-                   weight_decay: float = 0.0) -> dict[str, ad.Tensor]:
-    """One decoupled-weight-decay adaptive-moment update with bias correction.
-
-    Mutates ``state`` in place and returns the updated parameter dict.
-    """
-    state.step += 1
-    t = state.step
-    out = {}
-    for name, p in params.items():
+def optimizer_step(ck: Checkpoint, grads: dict[str, np.ndarray], lr_t: float,
+                   weight_decay: float = 0.0) -> None:
+    """One decoupled-weight-decay adaptive-moment update with bias correction
+    of ``ck``'s arrays, moments and step, in place; a non-finite gradient
+    raises before anything changes."""
+    for name in ck.arrays:
+        if not np.all(np.isfinite(grads[name])):
+            raise TrainingError(f"non-finite gradient for {name} at step {ck.step + 1}")
+    ck.step += 1
+    t = ck.step
+    for name, p in ck.arrays.items():
         g = grads[name]
-        if not np.all(np.isfinite(g)):
-            raise TrainingError(f"non-finite gradient for {name} at step {t}")
-        m = state.m[name] = ADAM_BETA1 * state.m[name] + (1 - ADAM_BETA1) * g
-        v = state.v[name] = ADAM_BETA2 * state.v[name] + (1 - ADAM_BETA2) * g * g
+        m = ADAM_BETA1 * ck.moments_m[name] + (1 - ADAM_BETA1) * g
+        v = ADAM_BETA2 * ck.moments_v[name] + (1 - ADAM_BETA2) * g * g
+        ck.moments_m[name], ck.moments_v[name] = m, v
         m_hat = m / (1 - ADAM_BETA1 ** t)
         v_hat = v / (1 - ADAM_BETA2 ** t)
-        new = p.values - lr_t * (m_hat / (np.sqrt(v_hat) + ADAM_EPS)
-                                 + weight_decay * p.values)
-        out[name] = ad.Tensor(new, requires_grad=True)
-    return out
+        p -= lr_t * (m_hat / (np.sqrt(v_hat) + ADAM_EPS) + weight_decay * p)
 
 
 def schedule_lr(cfg: TrainConfig, step: int, total_steps: int) -> float:
@@ -157,6 +141,7 @@ def schedule_lr(cfg: TrainConfig, step: int, total_steps: int) -> float:
 
 @dataclass
 class Checkpoint:
+    """The model: parameters, their optimizer moments, vocabulary, config, step."""
     arrays: dict[str, np.ndarray]  # parameters, fixed declared order
     moments_m: dict[str, np.ndarray]
     moments_v: dict[str, np.ndarray]
@@ -168,13 +153,17 @@ class Checkpoint:
         return {k: ad.Tensor(a, requires_grad=True)
                 for k, a in self.arrays.items()}
 
-    def encoder_params(self) -> EncoderParams:
-        t = self.tensors()
-        return EncoderParams(t["embedding"], t["ff_weight"], t["ff_bias"],
-                             dict(self.vocab), t.get("position"))
+    def views(self) -> tuple[EncoderParams, FusionParams]:
+        """Encoder and fusion parameters viewing this checkpoint's arrays."""
+        return param_views(self.tensors(), self.vocab)
 
-    def fusion_params(self) -> FusionParams:
-        return FusionParams(ad.Tensor(self.arrays["gate_w"], requires_grad=True))
+
+def param_views(params: dict[str, ad.Tensor],
+                vocab: dict[str, int]) -> tuple[EncoderParams, FusionParams]:
+    """The encoder and fusion views of one dict of named parameter tensors."""
+    return (EncoderParams(params["embedding"], params["ff_weight"],
+                          params["ff_bias"], vocab, params.get("position")),
+            FusionParams(params["gate_w"]))
 
 
 def _write_record(fh, payload: bytes) -> None:
@@ -233,7 +222,9 @@ def load_checkpoint(path) -> Checkpoint:
             declared = [(str(name), [int(n) for n in shape])
                         for name, shape in header["arrays"]]
             cfg = TrainConfig.from_dict(header["config"])
-            step = int(header["step"])
+            step = header["step"]
+            if type(step) is not int or step < 0:
+                raise ValueError(f"step {step!r} is not a step count")
         except (KeyError, TypeError, ValueError, ConfigError) as exc:
             raise CheckpointError(
                 f"invalid checkpoint header: {type(exc).__name__}: {exc}") from exc
@@ -332,10 +323,8 @@ def _batch_loss(corpus: Corpus, inputs: TrainingInputs, batch: np.ndarray,
     graph over the corpus's compiled ``inputs``: contexts and the distinct
     candidates (by pool position) are encoded as matrices, and every score
     is an entry of their B x N product."""
-    enc = EncoderParams(params["embedding"], params["ff_weight"],
-                        params["ff_bias"], inputs.vocab, params.get("position"))
-    contexts = encode_contexts(inputs, batch, cfg.mode, enc,
-                               FusionParams(params["gate_w"]), tape,
+    enc, fus = param_views(params, inputs.vocab)
+    contexts = encode_contexts(inputs, batch, cfg.mode, enc, fus, tape,
                                frozen_selection)
     exs = [corpus.examples[e] for e in batch]
     task = exs[0].task
@@ -365,57 +354,34 @@ def train(corpus: Corpus, cfg: TrainConfig, start: Checkpoint | None = None,
           max_steps: int | None = None) -> tuple[Checkpoint, list[float]]:
     """Run (or resume) training; returns the checkpoint and per-step losses.
 
-    ``start`` resumes from a saved checkpoint: already-performed steps are
-    skipped by schedule position, so the result is bit-identical to an
-    uninterrupted run of the same config. ``max_steps`` caps how many
-    optimizer steps this call performs.
+    ``start`` resumes from a saved checkpoint, which is copied and never
+    changed: already-performed steps are skipped by schedule position, so
+    the result is bit-identical to an uninterrupted run of the same config.
+    ``max_steps`` caps how many optimizer steps this call performs.
     """
     tasks = _task_examples(corpus, cfg)
-    if start is None:
-        start = initial_checkpoint(corpus, cfg)
-    inputs = corpus.training_inputs(start.vocab, tasks)
-    params = start.tensors()
-    state = OptimizerState(start.step, dict(start.moments_m),
-                           dict(start.moments_v))
-    done = start.step
+    ck = (initial_checkpoint(corpus, cfg) if start is None
+          else replace(copy.deepcopy(start), cfg=cfg))
+    inputs = corpus.training_inputs(ck.vocab, tasks)
     total_steps = cfg.epochs * steps_per_epoch(corpus, cfg)
+    schedule = ((epoch, batch) for epoch in range(cfg.epochs)
+                for _, batch in _epoch_batches(tasks, cfg, epoch))
+    stop = None if max_steps is None else ck.step + max(max_steps, 0)
     history: list[float] = []
-    step = 0
-    performed = 0
-    for epoch in range(cfg.epochs):
-        for _, batch in _epoch_batches(tasks, cfg, epoch):
-            step += 1
-            if step <= done:
-                continue
-            if max_steps is not None and performed >= max_steps:
-                break
-            tape = ad.Tape()
-            loss = _batch_loss(corpus, inputs, batch, params, cfg, epoch, tape)
-            value = loss.item()
-            if not np.isfinite(value):
-                raise TrainingError(f"non-finite loss at step {step}")
-            # a pair-only objective over a batch with no semi-hard items is
-            # the constant zero; step with zero gradients to keep the
-            # schedule position (and resume equality) intact
-            grads = ({} if tape.node_of(loss) is None
-                     else ad.backward(tape, loss))
-            grad_arrays = {}
-            for name, p in params.items():
-                nid = tape.node_of(p)
-                grad_arrays[name] = (grads[nid].values if nid is not None
-                                     and nid in grads else np.zeros(p.shape))
-            lr_t = schedule_lr(cfg, step, total_steps)
-            params = optimizer_step(params, grad_arrays, state, lr_t,
-                                    cfg.weight_decay)
-            history.append(value)
-            performed += 1
-        else:
-            continue
-        break
-
-    ck = Checkpoint(arrays={n: params[n].values.copy() for n in params},
-                    moments_m=dict(state.m), moments_v=dict(state.v),
-                    vocab=dict(start.vocab), cfg=cfg, step=state.step)
+    for epoch, batch in itertools.islice(schedule, ck.step, stop):
+        tape = ad.Tape()
+        params = ck.tensors()
+        loss = _batch_loss(corpus, inputs, batch, params, cfg, epoch, tape)
+        value = loss.item()
+        if not np.isfinite(value):
+            raise TrainingError(f"non-finite loss at step {ck.step + 1}")
+        # a pair-only objective over a batch with no semi-hard items is
+        # the constant zero; step with zero gradients to keep the
+        # schedule position (and resume equality) intact
+        grads = ad.gradients(tape, loss, params)
+        lr_t = schedule_lr(cfg, ck.step + 1, total_steps)
+        optimizer_step(ck, grads, lr_t, cfg.weight_decay)
+        history.append(value)
     return ck, history
 
 
@@ -424,9 +390,8 @@ def initial_checkpoint(corpus: Corpus, cfg: TrainConfig) -> Checkpoint:
     corpus, including one with too few examples to train on."""
     enc = init_encoder_params(corpus.vocab, d=cfg.dim, seed=cfg.seed,
                               positions=cfg.positions)
-    params = dict(enc.tensors())
-    params.update(init_fusion_params(cfg.dim, cfg.seed).tensors())
-    state = OptimizerState.for_params(params)
-    return Checkpoint(arrays={n: t.values.copy() for n, t in params.items()},
-                      moments_m=state.m, moments_v=state.v,
+    init = {**enc.tensors(), **init_fusion_params(cfg.dim, cfg.seed).tensors()}
+    return Checkpoint(arrays={n: t.values.copy() for n, t in init.items()},
+                      moments_m={n: np.zeros(t.shape) for n, t in init.items()},
+                      moments_v={n: np.zeros(t.shape) for n, t in init.items()},
                       vocab=dict(corpus.vocab), cfg=cfg, step=0)

@@ -17,14 +17,14 @@ import convret.training as training
 from convret.corpus import (Candidate, Dialogue, RetrievalExample, Role,
                             Session, TaskKind, Utterance, build_corpus,
                             derive_rng, semi_hard_id, split_sessions)
-from convret.encoder import (EncoderParams, candidate_ids, encode_candidate,
-                             encode_utterance, init_encoder_params,
-                             utterance_ids)
-from convret.fusion import (ContextMode, FusionParams, encode_context,
-                            init_fusion_params, topk_indices)
+from convret.encoder import (candidate_ids, encode_candidate, encode_utterance,
+                             init_encoder_params, utterance_ids)
+from convret.fusion import (ContextMode, encode_context, init_fusion_params,
+                            topk_indices)
 from convret.generator import GeneratorConfig, generate_synthetic
 from convret.losses import batch_similarities, combined_loss
-from convret.training import TrainConfig, _batch_loss, _easy_negative, train
+from convret.training import (TrainConfig, _batch_loss, _easy_negative,
+                              param_views, train)
 
 from test_acceptance import TINY
 
@@ -73,9 +73,7 @@ def _frozen(batch, k, seed):
 
 
 def _reference_loss(batch, params, cfg, tape, frozen):
-    enc = EncoderParams(params["embedding"], params["ff_weight"],
-                        params["ff_bias"], TINY.vocab, params.get("position"))
-    fus = FusionParams(params["gate_w"])
+    enc, fus = param_views(params, TINY.vocab)
     contexts, positives, semis, easies, present = [], [], [], [], []
     for i, ex in enumerate(batch):
         h = encode_context(TINY.dialogue(ex.dialogue_id), ex.query_turn_index,
@@ -102,12 +100,9 @@ def _reference_loss(batch, params, cfg, tape, frozen):
 def _loss_and_grads(build, params):
     tape = ad.Tape()
     loss = build(tape, params)
-    grads = ad.backward(tape, loss)
     # a parameter off the tape (the gate under full_concat or mean_all)
     # has a zero gradient
-    return loss.item(), {k: grads[tape.node_of(t)].values
-                         if tape.node_of(t) is not None else np.zeros(t.shape)
-                         for k, t in params.items()}, len(tape.nodes)
+    return loss.item(), ad.gradients(tape, loss, params), len(tape.nodes)
 
 
 CASES = [(mode, positions, frozen)

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from convret.cli import main
 from convret.corpus import (SPECIAL_TOKENS, Candidate, Corpus, Dialogue,
                             RetrievalExample, Role, Session, TaskKind,
                             Utterance, build_corpus, derive_rng, load_corpus,
@@ -12,6 +13,7 @@ from convret.corpus import (SPECIAL_TOKENS, Candidate, Corpus, Dialogue,
 from convret.errors import (CapacityError, ConfigError, ContractError,
                             IntegrityError, ParseError)
 from convret.generator import GeneratorConfig, generate_synthetic
+from convret.training import TrainConfig, initial_checkpoint, save_checkpoint
 
 
 def u(role, text, idx):
@@ -96,9 +98,8 @@ def test_empty_file_loads_as_empty_corpus(tmp_path):
     assert set(c.vocab) == set(SPECIAL_TOKENS)
 
 
-def test_minimal_corpus_round_trips(tmp_path):
-    p = tmp_path / "c.jsonl"
-    records = [
+def minimal_records():
+    return [
         {"kind": "candidate", "id": "c1", "task": "persona", "text": "w1 w2"},
         {"kind": "candidate", "id": "c2", "task": "persona", "text": "w3"},
         {"kind": "dialogue", "id": "d0",
@@ -108,7 +109,15 @@ def test_minimal_corpus_round_trips(tmp_path):
          "examples": [{"turn": 2, "task": "persona", "positive": "c1",
                        "historical": ["c2"]}]},
     ]
-    p.write_text("\n".join(json.dumps(r) for r in records) + "\n")
+
+
+def write_records(path, records):
+    path.write_text("\n".join(json.dumps(r) for r in records) + "\n")
+
+
+def test_minimal_corpus_round_trips(tmp_path):
+    p = tmp_path / "c.jsonl"
+    write_records(p, minimal_records())
     c = load_corpus(p)
     assert len(c.examples) == 1
     ex = c.examples[0]
@@ -139,6 +148,44 @@ def test_parse_errors_carry_line_numbers(tmp_path):
                  '{"kind":"candidate","id":"a","task":"persona","text":"y"}\n')
     with pytest.raises(ParseError, match="duplicate"):
         load_corpus(p)
+
+
+def _set(path, value):
+    """A mutation that sets the field at ``path`` (record index first)."""
+    def mutate(records):
+        *parents, key = path
+        target = records
+        for k in parents:
+            target = target[k]
+        target[key] = value
+    return mutate
+
+
+@pytest.mark.parametrize("mutate,line,what", [
+    (_set((2, "sessions", 0, 0, "text"), 7), 3, "utterance text is int"),
+    (_set((2, "examples", 0, "positive"), ["c1"]), 3, "positive id is list"),
+    (_set((0, "text"), None), 1, "candidate text is NoneType"),
+    (_set((2, "id"), 0), 3, "dialogue id is int"),
+    (_set((2, "examples", 0, "turn"), 1.7), 3, "turn is float"),
+], ids=["int-utterance-text", "list-positive", "null-candidate-text",
+        "int-dialogue-id", "fractional-turn"])
+def test_wrongly_typed_fields_fail_with_line_number(tmp_path, capsys, mutate,
+                                                     line, what):
+    good, bad = tmp_path / "good.jsonl", tmp_path / "bad.jsonl"
+    write_records(good, minimal_records())
+    ckpt = tmp_path / "model.ckpt"
+    save_checkpoint(initial_checkpoint(load_corpus(good), TrainConfig(dim=4)), ckpt)
+    records = minimal_records()
+    mutate(records)
+    write_records(bad, records)
+    with pytest.raises(ParseError, match=f"line {line}: .*{what}") as info:
+        load_corpus(bad)
+    assert info.value.line == line
+    code = main(["eval", "--corpus", str(bad), "--ckpt", str(ckpt),
+                 "--task", "persona", "--pool-size", "2"])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.count("\n") == 1 and err.startswith(f"convret: line {line}: ")
 
 
 def test_dangling_reference_names_the_id(tmp_path):

@@ -7,10 +7,11 @@ import convret.autodiff as ad
 from convret.corpus import (CLS_ID, SPECIAL_TOKENS, UNK_ID, USR_ID, Candidate,
                             Role, TaskKind, Utterance)
 from convret.encoder import (MAX_CANDIDATE_TOKENS, MAX_UTTERANCE_TOKENS,
-                             EncoderParams, encode_candidate, encode_ids,
-                             encode_text, encode_utterance,
-                             init_encoder_params, tokenize)
+                             encode_candidate, encode_ids, encode_text,
+                             encode_utterance, init_encoder_params, tokenize)
 from convret.errors import ContractError
+from convret.fusion import init_fusion_params
+from convret.training import param_views
 
 
 def make_vocab(n_words=30):
@@ -133,12 +134,13 @@ def test_dot_of_towers_passes_gradient_check():
 
     def f(params):
         tape = ad.Tape()
-        p = EncoderParams(params["embedding"], params["ff_weight"],
-                          params["ff_bias"], base.vocab)
+        p, _ = param_views(params, base.vocab)
         hu = encode_utterance(u, p, tape)
         hc = encode_candidate(c, p, tape)
         return tape, ad.dot(hu, hc, tape)
 
-    err = ad.grad_check(f, dict(base.tensors()), eps=1e-4,
+    # the gate is off this output's path: its gradient is checked to be zero
+    params = {**base.tensors(), **init_fusion_params(6, seed=7).tensors()}
+    err = ad.grad_check(f, params, eps=1e-4,
                         rng=np.random.default_rng(0), max_coords=60)
     assert err < 1e-4

@@ -7,7 +7,8 @@ import pytest
 
 from convret import autodiff as ad
 from convret import evaluation
-from convret.corpus import TaskKind, build_corpus, sample_pool
+from convret.cli import main
+from convret.corpus import TaskKind, build_corpus, sample_pool, write_corpus
 from convret.encoder import encode_candidate
 from convret.errors import CapacityError, ContractError, EvaluationError
 from convret.evaluation import (ABLATION_VARIANTS, EmbeddedPool, MetricsReport,
@@ -76,7 +77,7 @@ def test_embedded_pool_shape_validation():
 def test_embed_pool_rows_match_single_encodes():
     corpus = small_corpus()
     ck = initial_checkpoint(corpus, TrainConfig(seed=3))
-    enc = ck.encoder_params()
+    enc, _ = ck.views()
     cands = list(corpus.pools[TaskKind.KNOWLEDGE].values())[:6]
     pool = embed_pool(cands, enc)
     assert pool.size == 6
@@ -88,7 +89,7 @@ def test_embed_pool_rows_match_single_encodes():
 def test_embed_pool_rejects_mixed_tasks_and_empty():
     corpus = small_corpus()
     ck = initial_checkpoint(corpus, TrainConfig(seed=3))
-    enc = ck.encoder_params()
+    enc, _ = ck.views()
     mixed = [next(iter(corpus.pools[TaskKind.PERSONA].values())),
              next(iter(corpus.pools[TaskKind.RESPONSE].values()))]
     with pytest.raises(ContractError):
@@ -136,7 +137,7 @@ def test_evaluate_embeds_only_the_pool_rows_it_samples():
     assert np.flatnonzero(embedded).tolist() == used.tolist()
     assert len(used) <= 8 < len(corpus.pools[TaskKind.PERSONA])
     ids, _ = two.pool_order(TaskKind.PERSONA)
-    enc = ck.encoder_params()
+    enc, _ = ck.views()
     for i in used:
         cand = corpus.pools[TaskKind.PERSONA][ids[i]]
         assert np.array_equal(matrix[i], encode_candidate(cand, enc).values)
@@ -182,7 +183,7 @@ def test_evaluate_matches_independent_metric_loop():
     corpus = small_corpus()
     cfg = TrainConfig(epochs=1, batch_size=4, seed=1)
     ck, _ = train(corpus, cfg)
-    enc, fus = ck.encoder_params(), ck.fusion_params()
+    enc, fus = ck.views()
     for task in (TaskKind.PERSONA, TaskKind.RESPONSE):
         rep = evaluate(corpus, ck, task, pool_size=8, seed=77)
         examples = [ex for ex in corpus.examples if ex.task == task]
@@ -334,3 +335,21 @@ def test_ablation_run_table_shape():
     for row in table.values():
         assert set(row) == {t.value for t in TaskKind}
         assert all(0.0 <= v <= 1.0 for v in row.values())
+
+
+def test_ablation_run_checks_every_variant_before_training(monkeypatch, tmp_path,
+                                                           capsys):
+    def no_training(*args, **kwargs):
+        raise AssertionError("trained before every variant name was checked")
+
+    monkeypatch.setattr(evaluation, "train", no_training)
+    corpus = small_corpus()
+    with pytest.raises(ContractError, match="bogus"):
+        ablation_run(corpus, corpus, TrainConfig(seed=1), ["baseline", "bogus"],
+                     pool_size=8, eval_seed=5)
+    path = tmp_path / "corpus.jsonl"
+    write_corpus(corpus, path)
+    code = main(["ablate", "--corpus", str(path), "--variants", "baseline,bogus"])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.count("convret:") == 1 and err.startswith("convret: unknown ablation")

@@ -7,11 +7,12 @@ import pytest
 
 import convret.autodiff as ad
 from convret.corpus import Dialogue, Role, Session, SPECIAL_TOKENS, Utterance
-from convret.encoder import EncoderParams, encode_utterance, init_encoder_params
+from convret.encoder import encode_utterance, init_encoder_params
 from convret.errors import ConfigError, ContractError
 from convret.fusion import (ContextMode, FusionParams, ModeKind, attend,
                             encode_context, gate_fuse, init_fusion_params,
                             topk_indices)
+from convret.training import param_views
 
 
 def vec(*xs):
@@ -248,9 +249,7 @@ def test_full_pipeline_gradient_check_with_frozen_selection():
 
     def f(params):
         tape = ad.Tape()
-        ep = EncoderParams(params["embedding"], params["ff_weight"],
-                           params["ff_bias"], enc.vocab)
-        fp = FusionParams(params["gate_w"])
+        ep, fp = param_views(params, enc.vocab)
         h = encode_context(d, 6, mode, ep, fp, tape, frozen_selection=frozen)
         return tape, ad.dot(h, target, tape)
 

@@ -1,5 +1,6 @@
 """Optimizer, training loop, and checkpoint round-trip behavior."""
 
+import copy
 import json
 import struct
 from dataclasses import replace
@@ -7,17 +8,16 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-import convret.autodiff as ad
 import convret.corpus as corpus_mod
 from convret.corpus import Candidate, TaskKind, load_corpus, write_corpus
 from convret.encoder import encode_candidate
 from convret.errors import CheckpointError, ConfigError, TrainingError
 from convret.fusion import ContextMode
 from convret.generator import GeneratorConfig, generate_synthetic
-from convret.training import (Checkpoint, OptimizerState, Schedule,
-                              TrainConfig, initial_checkpoint,
-                              load_checkpoint, optimizer_step, save_checkpoint,
-                              schedule_lr, steps_per_epoch, train)
+from convret.training import (Checkpoint, Schedule, TrainConfig,
+                              initial_checkpoint, load_checkpoint,
+                              optimizer_step, save_checkpoint, schedule_lr,
+                              steps_per_epoch, train)
 
 
 def tiny_corpus(dialogues=12, seed=0):
@@ -38,11 +38,19 @@ def tiny_train_cfg(**kw):
 # optimizer
 # ---------------------------------------------------------------------------
 
+def _ck(**arrays):
+    """A checkpoint of just ``arrays``, with zero moments at step 0."""
+    arrays = {n: np.array(a, dtype=float) for n, a in arrays.items()}
+    return Checkpoint(arrays, {n: np.zeros_like(a) for n, a in arrays.items()},
+                      {n: np.zeros_like(a) for n, a in arrays.items()}, {},
+                      tiny_train_cfg(), 0)
+
+
 def test_zero_gradient_zero_decay_is_a_fixed_point():
-    params = {"w": ad.Tensor([1.0, -2.0], requires_grad=True)}
-    state = OptimizerState.for_params(params)
-    out = optimizer_step(params, {"w": np.zeros(2)}, state, lr_t=0.1)
-    np.testing.assert_array_equal(out["w"].values, params["w"].values)
+    ck = _ck(w=[1.0, -2.0])
+    optimizer_step(ck, {"w": np.zeros(2)}, lr_t=0.1)
+    np.testing.assert_array_equal(ck.arrays["w"], [1.0, -2.0])
+    assert ck.step == 1
 
 
 def test_one_step_matches_hand_coded_reference():
@@ -56,26 +64,29 @@ def test_one_step_matches_hand_coded_reference():
     v_hat = v / (1 - b2)
     want = x - lr * m_hat / (np.sqrt(v_hat) + eps)
 
-    params = {"x": ad.Tensor(x, requires_grad=True)}
-    state = OptimizerState.for_params(params)
-    out = optimizer_step(params, {"x": np.asarray(g)}, state, lr_t=lr)
-    assert abs(out["x"].item() - want) < 1e-12
+    ck = _ck(x=x)
+    optimizer_step(ck, {"x": np.asarray(g)}, lr_t=lr)
+    assert abs(float(ck.arrays["x"]) - want) < 1e-12
+    assert float(ck.moments_m["x"]) == m and float(ck.moments_v["x"]) == v
 
 
 def test_weight_decay_is_decoupled():
-    params = {"w": ad.Tensor([2.0], requires_grad=True)}
-    state = OptimizerState.for_params(params)
-    out = optimizer_step(params, {"w": np.zeros(1)}, state, lr_t=0.5,
-                         weight_decay=0.1)
-    assert abs(out["w"].values[0] - (2.0 - 0.5 * 0.1 * 2.0)) < 1e-15
+    ck = _ck(w=[2.0])
+    optimizer_step(ck, {"w": np.zeros(1)}, lr_t=0.5, weight_decay=0.1)
+    assert abs(ck.arrays["w"][0] - (2.0 - 0.5 * 0.1 * 2.0)) < 1e-15
 
 
 def test_non_finite_gradient_aborts_with_step_index():
-    params = {"w": ad.Tensor([1.0], requires_grad=True)}
-    state = OptimizerState.for_params(params)
-    optimizer_step(params, {"w": np.zeros(1)}, state, lr_t=0.1)
-    with pytest.raises(TrainingError, match="step 2"):
-        optimizer_step(params, {"w": np.array([np.nan])}, state, lr_t=0.1)
+    ck = _ck(a=[1.0], w=[1.0])
+    optimizer_step(ck, {"a": np.ones(1), "w": np.zeros(1)}, lr_t=0.1)
+    before = copy.deepcopy(ck)
+    with pytest.raises(TrainingError, match="w at step 2"):
+        optimizer_step(ck, {"a": np.ones(1), "w": np.array([np.nan])}, lr_t=0.1)
+    # nothing moved, not even the parameter before the bad one
+    assert ck.step == 1
+    for got, want in ((ck.arrays, before.arrays), (ck.moments_m, before.moments_m),
+                      (ck.moments_v, before.moments_v)):
+        assert all(np.array_equal(got[n], want[n]) for n in want)
 
 
 def test_linear_decay_reaches_zero_on_final_step():
@@ -237,8 +248,8 @@ def test_checkpoint_round_trip_is_bit_exact(tmp_path):
         np.testing.assert_array_equal(back.moments_v[name], ck.moments_v[name])
     # forward pass identical before and after
     cand = Candidate("z", TaskKind.PERSONA, "t0w1 t0w2")
-    a = encode_candidate(cand, ck.encoder_params()).values
-    b = encode_candidate(cand, back.encoder_params()).values
+    a = encode_candidate(cand, ck.views()[0]).values
+    b = encode_candidate(cand, back.views()[0]).values
     np.testing.assert_array_equal(a, b)
     save_checkpoint(back, tmp_path / "again.ckpt")
     assert (tmp_path / "again.ckpt").read_bytes() == p.read_bytes()
@@ -252,12 +263,28 @@ def test_parameter_views_leave_checkpoint_arrays_writeable(tmp_path):
     loaded = load_checkpoint(tmp_path / "model.ckpt")
     trained, _ = train(corpus, cfg, start=loaded)
     for ck in (init, loaded, trained):
-        enc, fus = ck.encoder_params(), ck.fusion_params()
+        enc, fus = ck.views()
         for arrays in (ck.arrays, ck.moments_m, ck.moments_v):
             assert all(a.flags.writeable and a.flags.owndata
                        for a in arrays.values())
         assert not enc.embedding.values.flags.writeable
         assert not fus.gate_w.values.flags.writeable
+
+
+@pytest.mark.parametrize("epochs,max_steps", [(1, None), (0, None), (1, 0)])
+def test_train_leaves_its_start_unchanged_and_unshared(epochs, max_steps):
+    corpus = tiny_corpus(dialogues=3)
+    cfg = tiny_train_cfg(batch_size=2)
+    start, _ = train(corpus, cfg, max_steps=2)
+    before = copy.deepcopy(start)
+    ck, _ = train(corpus, replace(cfg, epochs=epochs), start=start,
+                  max_steps=max_steps)
+    assert start.step == before.step == 2
+    for field in ("arrays", "moments_m", "moments_v"):
+        got, kept = getattr(ck, field), getattr(start, field)
+        for name, was in getattr(before, field).items():
+            np.testing.assert_array_equal(kept[name], was)
+            assert not np.shares_memory(got[name], kept[name])
 
 
 def test_checkpoint_corruption_and_version_errors(tmp_path):
@@ -278,7 +305,7 @@ def test_checkpoint_corruption_and_version_errors(tmp_path):
     extra.write_bytes(blob + b"\x00")
     with pytest.raises(CheckpointError, match="trailing"):
         load_checkpoint(extra)
-    for edit in (_drop_step, _bogus_mode):
+    for edit in (_drop_step, _negative_step, _fractional_step, _bogus_mode):
         broken = tmp_path / f"{edit.__name__}.ckpt"
         broken.write_bytes(edit(blob))
         with pytest.raises(CheckpointError, match="header"):
@@ -307,6 +334,14 @@ def _edit_header(blob: bytes, edit) -> bytes:
 
 def _drop_step(blob: bytes) -> bytes:
     return _edit_header(blob, lambda h: h.pop("step"))
+
+
+def _negative_step(blob: bytes) -> bytes:
+    return _edit_header(blob, lambda h: h.update(step=-3))
+
+
+def _fractional_step(blob: bytes) -> bytes:
+    return _edit_header(blob, lambda h: h.update(step=1.7))
 
 
 def _bogus_mode(blob: bytes) -> bytes:
