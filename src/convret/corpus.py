@@ -417,7 +417,9 @@ class TrainingInputs:
     ``examples`` is (start, split, query): the ``split_sessions`` parts of
     ``corpus.examples[e]`` are rows [start, split), rows [split, query) and
     row query. ``candidates[task]`` holds (tokens, offsets) of the task's
-    candidates in pool order, led by the task token.
+    candidates in pool order, led by the task token. Row e of ``targets``
+    holds the pool positions of that example's positive and ``semi_hard_id``
+    candidate, the positive's again where it has none.
     """
     vocab: dict[str, int]
     tokens: np.ndarray
@@ -425,6 +427,7 @@ class TrainingInputs:
     turns: np.ndarray
     examples: np.ndarray
     candidates: dict[TaskKind, tuple[np.ndarray, np.ndarray]]
+    targets: np.ndarray
 
     def utterance_seqs(self, rows) -> tuple[np.ndarray, np.ndarray]:
         """Flat ids and offsets of the sequences of utterance ``rows``."""
@@ -478,7 +481,7 @@ def _token_rows(texts: list[str], lead, vocab: dict[str, int],
 
 
 def _compile_utterances(corpus: Corpus, vocab: dict[str, int]) -> TrainingInputs:
-    """Every utterance's tokens and every example's rows; no candidates."""
+    """Every utterance's tokens, every example's rows and targets; no candidates."""
     attr = operator.attrgetter
     utts = [u for d in corpus.dialogues for s in d.sessions for u in s.utterances]
     turns = np.fromiter(map(attr("turn_index"), utts), np.int64, len(utts))
@@ -514,8 +517,12 @@ def _compile_utterances(corpus: Corpus, vocab: dict[str, int]) -> TrainingInputs
         list(map(attr("text"), utts)),
         np.where(user, ROLE_TOKEN[Role.USER], ROLE_TOKEN[Role.SYSTEM]),
         vocab, MAX_UTTERANCE_TOKENS)
+    position = {t: corpus.pool_order(t)[1] for t in TaskKind}
+    targets = [[position[ex.task][ex.positive_id if cid is None else cid]
+                for cid in (ex.positive_id, semi_hard_id(ex))] for ex in exs]
     return TrainingInputs(vocab, tokens, offsets, turns.astype(np.int32),
-                          np.stack([first, split, query], 1).astype(np.int32), {})
+                          np.stack([first, split, query], 1).astype(np.int32), {},
+                          np.array(targets, np.intp).reshape(-1, 2))
 
 
 def skip_positions(pick: int, skipped: list[int]) -> int:

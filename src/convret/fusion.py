@@ -40,8 +40,10 @@ class ContextMode:
     k: int = 3
 
     def __post_init__(self):
-        if self.kind is ModeKind.ADAPTIVE and self.k < 1:
-            raise ConfigError(f"adaptive mode needs k >= 1, got {self.k}")
+        if not isinstance(self.kind, ModeKind):
+            raise ConfigError(f"context mode kind {self.kind!r} is not a ModeKind")
+        if isinstance(self.k, bool) or not isinstance(self.k, int) or self.k < 1:
+            raise ConfigError(f"context mode needs an int k >= 1, got {self.k!r}")
 
     @staticmethod
     def adaptive(k: int = 3) -> "ContextMode":

@@ -1,9 +1,9 @@
 """Mini-batch training loop, AdamW optimizer, and checkpointing.
 
-Determinism is the organizing principle: every random draw (shuffling, easy
-negatives) comes from a generator derived from (seed, purpose tags), never
-from sequential RNG state, so a run resumed from a checkpoint replays the
-exact remaining schedule and reproduces an uninterrupted run bit for bit.
+Determinism is the organizing principle: the shuffle and the easy negatives
+of each task and epoch come from a generator derived from (seed, tags), not
+from RNG state carried across epochs, so a resumed run replays the exact
+remaining schedule and reproduces an uninterrupted run bit for bit.
 Checkpoints are a versioned binary format (magic "UCR1") holding the
 config, the vocabulary, and all parameter and optimizer-moment arrays as
 little-endian float64 in a declared order.
@@ -24,7 +24,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .corpus import (Corpus, TaskKind, TrainingInputs, derive_rng,
-                     replace_on_success, semi_hard_id, skip_positions)
+                     replace_on_success)
 from .encoder import EncoderParams, encode_batch, init_encoder_params
 from .errors import CheckpointError, ConfigError, TrainingError
 from .fusion import (ContextMode, FusionParams, ModeKind, encode_contexts,
@@ -276,66 +276,58 @@ def _task_examples(corpus: Corpus, cfg: TrainConfig) -> dict[TaskKind, np.ndarra
     return usable
 
 
-def _epoch_batches(tasks: dict[TaskKind, np.ndarray], cfg: TrainConfig, epoch: int):
-    """Task-homogeneous batches of example indices, tasks interleaved
-    round-robin, drop-last."""
+def _epoch_batches(inputs: TrainingInputs, tasks: dict[TaskKind, np.ndarray],
+                   cfg: TrainConfig, epoch: int):
+    """Task-homogeneous batches as (task, example indices, easy-negative
+    pool positions), tasks interleaved round-robin, drop-last.
+
+    An example's easy negative is never its positive or its semi-hard: one
+    draw per task and epoch picks from each pool with those positions
+    removed, then shifts past them by the ``skip_positions`` rule."""
     per_task = {}
     for t, rows in tasks.items():
+        lo, hi = np.sort(inputs.targets[rows], axis=1).T
+        present = lo != hi
+        # pool size (one offset fewer) minus the excluded positions
+        high = len(inputs.candidates[t][1]) - 2 - present
+        if np.any(high < 1):
+            raise ConfigError(f"{t.value} pool has no easy negative available")
+        easy = derive_rng(cfg.seed, "easy", t.value, epoch).integers(high)
+        easy += easy >= lo
+        easy += present & (easy >= hi)
         order = derive_rng(cfg.seed, "shuffle", t.value, epoch).permutation(rows.size)
         n_full = rows.size // cfg.batch_size
-        per_task[t] = [rows[order[b * cfg.batch_size:(b + 1) * cfg.batch_size]]
-                       for b in range(n_full)]
+        per_task[t] = [(rows[b], easy[b])
+                       for b in np.split(order[:n_full * cfg.batch_size], n_full)]
     longest = max(len(b) for b in per_task.values())
     for i in range(longest):
         for t in TaskKind:
             if t in per_task and i < len(per_task[t]):
-                yield t, per_task[t][i]
+                yield (t, *per_task[t][i])
+
+
+def _steps(tasks: dict[TaskKind, np.ndarray], cfg: TrainConfig) -> int:
+    return sum(rows.size // cfg.batch_size for rows in tasks.values())
 
 
 def steps_per_epoch(corpus: Corpus, cfg: TrainConfig) -> int:
-    return sum(rows.size // cfg.batch_size
-               for rows in _task_examples(corpus, cfg).values())
+    return _steps(_task_examples(corpus, cfg), cfg)
 
 
-def _easy_negative(ex, epoch: int, seed: int, corpus: Corpus) -> str:
-    """Id of a random easy negative: never the positive, never the semi-hard.
-
-    Draws uniformly from the pool order with the excluded ids removed,
-    without building that list (see ``skip_positions``).
-    """
-    ids, position = corpus.pool_order(ex.task)
-    exclude = {ex.positive_id}
-    semi = semi_hard_id(ex)
-    if semi is not None:
-        exclude.add(semi)
-    skipped = sorted(position[cid] for cid in exclude if cid in position)
-    if len(ids) == len(skipped):
-        raise ConfigError(f"{ex.task.value} pool has no easy negative available")
-    rng = derive_rng(seed, "easy", ex.dialogue_id, ex.query_turn_index, epoch)
-    pick = int(rng.integers(len(ids) - len(skipped)))
-    return ids[skip_positions(pick, skipped)]
-
-
-def _batch_loss(corpus: Corpus, inputs: TrainingInputs, batch: np.ndarray,
-                params: dict[str, ad.Tensor], cfg: TrainConfig, epoch: int,
+def _batch_loss(inputs: TrainingInputs, task: TaskKind, batch: np.ndarray,
+                easy: np.ndarray, params: dict[str, ad.Tensor], cfg: TrainConfig,
                 tape: ad.Tape, frozen_selection: list[list[int]] | None = None):
-    """The combined loss of a one-task batch of example indices, as one
+    """The combined loss of a ``task`` batch of example indices, as one
     graph over the corpus's compiled ``inputs``: contexts and the distinct
-    candidates (by pool position) are encoded as matrices, and every score
-    is an entry of their B x N product."""
+    candidates (by pool position: each example's positive, semi-hard and
+    ``easy`` negative) are encoded as matrices, and every score is an entry
+    of their B x N product. An absent semi-hard score is never read; its
+    position is the positive's."""
     enc, fus = param_views(params, inputs.vocab)
     contexts = encode_contexts(inputs, batch, cfg.mode, enc, fus, tape,
                                frozen_selection)
-    exs = [corpus.examples[e] for e in batch]
-    task = exs[0].task
-    _, position = corpus.pool_order(task)
-    semis = [semi_hard_id(ex) for ex in exs]
-    present = np.array([semi is not None for semi in semis])
-    # an absent semi-hard score is never read; point it at the positive
-    ids = ([ex.positive_id for ex in exs]
-           + [ex.positive_id if semi is None else semi for ex, semi in zip(exs, semis)]
-           + [_easy_negative(ex, epoch, cfg.seed, corpus) for ex in exs])
-    need, inverse = np.unique([position[cid] for cid in ids], return_inverse=True)
+    pos, semi = inputs.targets[batch].T
+    need, inverse = np.unique(np.concatenate([pos, semi, easy]), return_inverse=True)
     pos_cols, semi_cols, easy_cols = inverse.reshape(3, -1)
     cand_rows = encode_batch(*inputs.candidate_seqs(task, need), enc, tape)
 
@@ -346,7 +338,7 @@ def _batch_loss(corpus: Corpus, inputs: TrainingInputs, batch: np.ndarray,
     cross = ad.gather(scores, base[:, None] + pos_cols[None, :], tape)
     sims = batch_similarities(cross, ad.gather(scores, base + semi_cols, tape),
                               ad.gather(scores, base + easy_cols, tape),
-                              present, tape)
+                              semi != pos, tape)
     return combined_loss(sims, cfg.loss_config(), tape)
 
 
@@ -363,15 +355,15 @@ def train(corpus: Corpus, cfg: TrainConfig, start: Checkpoint | None = None,
     ck = (initial_checkpoint(corpus, cfg) if start is None
           else replace(copy.deepcopy(start), cfg=cfg))
     inputs = corpus.training_inputs(ck.vocab, tasks)
-    total_steps = cfg.epochs * steps_per_epoch(corpus, cfg)
-    schedule = ((epoch, batch) for epoch in range(cfg.epochs)
-                for _, batch in _epoch_batches(tasks, cfg, epoch))
+    total_steps = cfg.epochs * _steps(tasks, cfg)
+    schedule = itertools.chain.from_iterable(
+        _epoch_batches(inputs, tasks, cfg, epoch) for epoch in range(cfg.epochs))
     stop = None if max_steps is None else ck.step + max(max_steps, 0)
     history: list[float] = []
-    for epoch, batch in itertools.islice(schedule, ck.step, stop):
+    for task, batch, easy in itertools.islice(schedule, ck.step, stop):
         tape = ad.Tape()
         params = ck.tensors()
-        loss = _batch_loss(corpus, inputs, batch, params, cfg, epoch, tape)
+        loss = _batch_loss(inputs, task, batch, easy, params, cfg, tape)
         value = loss.item()
         if not np.isfinite(value):
             raise TrainingError(f"non-finite loss at step {ck.step + 1}")

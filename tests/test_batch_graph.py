@@ -23,15 +23,13 @@ from convret.fusion import (ContextMode, encode_context, init_fusion_params,
                             topk_indices)
 from convret.generator import GeneratorConfig, generate_synthetic
 from convret.losses import batch_similarities, combined_loss
-from convret.training import (TrainConfig, _batch_loss, _easy_negative,
-                              param_views, train)
+from convret.training import TrainConfig, _batch_loss, param_views, train
 
 from test_acceptance import TINY
 
 MODES = {"adaptive": ContextMode.adaptive(2),
          "full_concat": ContextMode.full_concat(),
          "no_prev": ContextMode.no_prev(), "mean_all": ContextMode.mean_all()}
-EPOCH = 1
 INPUTS = TINY.training_inputs(TINY.vocab, TaskKind)
 
 
@@ -46,6 +44,19 @@ def _batch(task, seed):
     rng = derive_rng(seed, "batch", task.value)
     extra = rng.choice(len(examples), size=3, replace=False)
     return examples[:4] + [examples[int(i)] for i in extra]
+
+
+def _easy(batch, seed):
+    """A seeded easy-negative pool position per example, drawn from the
+    explicitly filtered list: never its positive, never its semi-hard."""
+    rng = derive_rng(seed, "easy")
+    out = []
+    for ex in batch:
+        ids, _ = TINY.pool_order(ex.task)
+        left = [p for p, cid in enumerate(ids)
+                if cid not in (ex.positive_id, semi_hard_id(ex))]
+        out.append(left[int(rng.integers(len(left)))])
+    return np.array(out)
 
 
 def _params(cfg):
@@ -72,7 +83,7 @@ def _frozen(batch, k, seed):
     return out
 
 
-def _reference_loss(batch, params, cfg, tape, frozen):
+def _reference_loss(batch, easy, params, cfg, tape, frozen):
     enc, fus = param_views(params, TINY.vocab)
     contexts, positives, semis, easies, present = [], [], [], [], []
     for i, ex in enumerate(batch):
@@ -87,9 +98,9 @@ def _reference_loss(batch, params, cfg, tape, frozen):
         semi_id = ex.positive_id if semi is None else semi
         semis.append(ad.dot(h, encode_candidate(
             TINY.candidate(ex.task, semi_id), enc, tape), tape))
-        easy = _easy_negative(ex, EPOCH, cfg.seed, TINY)
+        ids, _ = TINY.pool_order(ex.task)
         easies.append(ad.dot(h, encode_candidate(
-            TINY.candidate(ex.task, easy), enc, tape), tape))
+            TINY.candidate(ex.task, ids[easy[i]]), enc, tape), tape))
     cross = ad.matmul(ad.stack(contexts, tape),
                       ad.transpose(ad.stack(positives, tape), tape), tape)
     sims = batch_similarities(cross, ad.concat(semis, tape),
@@ -116,13 +127,14 @@ def test_batched_loss_and_gradients_match_per_example_path(mode, positions, froz
         cfg = TrainConfig(mode=MODES[mode], dim=5, seed=30 + t_i,
                           positions=positions, gamma=1.5)
         batch = _batch(task, cfg.seed)
+        easy = _easy(batch, cfg.seed)
         params = _params(cfg)
         sel = _frozen(batch, cfg.mode.k, cfg.seed) if frozen else None
         got, got_g, nodes = _loss_and_grads(
-            lambda tape, p: _batch_loss(TINY, INPUTS, _rows(batch), p, cfg,
-                                        EPOCH, tape, sel), params)
+            lambda tape, p: _batch_loss(INPUTS, task, _rows(batch), easy, p,
+                                        cfg, tape, sel), params)
         want, want_g, ref_nodes = _loss_and_grads(
-            lambda tape, p: _reference_loss(batch, p, cfg, tape, sel),
+            lambda tape, p: _reference_loss(batch, easy, p, cfg, tape, sel),
             params)
         assert abs(got - want) <= 1e-10 * abs(want)
         for name in params:
@@ -135,12 +147,13 @@ def test_batched_loss_and_gradients_match_per_example_path(mode, positions, froz
 def test_batched_loss_passes_gradient_check_with_frozen_selection():
     cfg = TrainConfig(mode=ContextMode.adaptive(2), dim=4, seed=41, positions=4)
     batch = _batch(TaskKind.KNOWLEDGE, cfg.seed)
+    easy = _easy(batch, cfg.seed)
     sel = _frozen(batch, cfg.mode.k, cfg.seed)
 
     def f(p):
         tape = ad.Tape()
-        return tape, _batch_loss(TINY, INPUTS, _rows(batch), p, cfg, EPOCH,
-                                 tape, sel)
+        return tape, _batch_loss(INPUTS, TaskKind.KNOWLEDGE, _rows(batch), easy,
+                                 p, cfg, tape, sel)
 
     err = ad.grad_check(f, _params(cfg), eps=1e-5,
                         rng=np.random.default_rng(5), max_coords=80)
@@ -190,6 +203,10 @@ def test_compiled_rows_reproduce_the_per_item_inputs(corpus, drop):
         assert inputs.turns[rows].tolist() == [u.turn_index for u in utts]
         assert _seqs(*inputs.concat_seqs(rows[:1], rows[-1:])) == [
             fusion._concat_ids(utts, vocab)]
+        ids, _ = corpus.pool_order(ex.task)
+        semi = semi_hard_id(ex)
+        assert ids[inputs.targets[e, 0]] == ex.positive_id
+        assert ids[inputs.targets[e, 1]] == (ex.positive_id if semi is None else semi)
     for task in TaskKind:
         ids, _ = corpus.pool_order(task)
         assert _seqs(*inputs.candidate_seqs(task, np.arange(len(ids)))) == [

@@ -147,16 +147,20 @@ def test_invalid_checkpoint_header_fails_with_diagnostic(tmp_path, capsys):
     corpus_path, ckpt = pipeline(tmp_path, capsys)
     blob = ckpt.read_bytes()
     (n,) = struct.unpack("<I", blob[4:8])
-    header = json.loads(blob[8:8 + n])
-    del header["step"]
-    payload = json.dumps(header).encode()
-    ckpt.write_bytes(blob[:4] + struct.pack("<I", len(payload)) + payload
-                     + blob[8 + n:])
-    code, stdout, stderr = run(capsys, "eval", "--corpus", str(corpus_path),
-                               "--ckpt", str(ckpt), "--task", "persona")
-    assert code == 1
-    assert stdout == ""
-    assert stderr.startswith("convret: invalid checkpoint header")
+    for edit in (lambda h: h.pop("step"),
+                 lambda h: h["config"]["mode"].update(k=2.5)):
+        header = json.loads(blob[8:8 + n])
+        edit(header)
+        payload = json.dumps(header).encode()
+        ckpt.write_bytes(blob[:4] + struct.pack("<I", len(payload)) + payload
+                         + blob[8 + n:])
+        code, stdout, stderr = run(capsys, "eval", "--corpus", str(corpus_path),
+                                   "--ckpt", str(ckpt), "--task", "persona",
+                                   "--pool-size", "8")
+        assert code == 1
+        assert stdout == ""
+        assert stderr.startswith("convret: invalid checkpoint header")
+        assert stderr.count("\n") == 1
 
 
 def test_invalid_pool_size_fails_with_one_line(tmp_path, capsys):

@@ -147,8 +147,11 @@ def make_setup(d=6, seed=0):
 
 
 def test_context_mode_validation():
-    with pytest.raises(ConfigError):
-        ContextMode(ModeKind.ADAPTIVE, 0)
+    for kind, k in [(ModeKind.ADAPTIVE, 0), (ModeKind.NO_PREV, -1),
+                    (ModeKind.ADAPTIVE, 2.5), (ModeKind.ADAPTIVE, True),
+                    (ModeKind.MEAN_ALL, "3"), ("adaptive", 3), (None, 3)]:
+        with pytest.raises(ConfigError):
+            ContextMode(kind, k)
     assert ContextMode.adaptive().k == 3
 
 

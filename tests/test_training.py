@@ -1,6 +1,7 @@
 """Optimizer, training loop, and checkpoint round-trip behavior."""
 
 import copy
+import itertools
 import json
 import struct
 from dataclasses import replace
@@ -9,20 +10,23 @@ import numpy as np
 import pytest
 
 import convret.corpus as corpus_mod
-from convret.corpus import Candidate, TaskKind, load_corpus, write_corpus
+import convret.training as training_mod
+from convret.corpus import (Candidate, TaskKind, derive_rng, load_corpus,
+                            semi_hard_id, write_corpus)
 from convret.encoder import encode_candidate
 from convret.errors import CheckpointError, ConfigError, TrainingError
 from convret.fusion import ContextMode
 from convret.generator import GeneratorConfig, generate_synthetic
 from convret.training import (Checkpoint, Schedule, TrainConfig,
+                              _epoch_batches, _steps, _task_examples,
                               initial_checkpoint, load_checkpoint,
                               optimizer_step, save_checkpoint, schedule_lr,
                               steps_per_epoch, train)
 
 
-def tiny_corpus(dialogues=12, seed=0):
+def tiny_corpus(dialogues=12, seed=0, sessions=2):
     cfg = GeneratorConfig(topics=6, dialogues_per_task=dialogues,
-                          sessions_per_dialogue=2, turns_per_session=2,
+                          sessions_per_dialogue=sessions, turns_per_session=2,
                           words_per_topic=8, common_words=6, entities=6,
                           utterance_words=4)
     return generate_synthetic(cfg, seed)
@@ -192,41 +196,65 @@ def test_insufficient_examples_raise_config_error():
 def test_full_regime_interleaves_tasks_round_robin():
     corpus = tiny_corpus()
     cfg = tiny_train_cfg()
-    from convret.training import _epoch_batches, _task_examples
     tasks = _task_examples(corpus, cfg)
-    seq = [t for t, _ in _epoch_batches(tasks, cfg, epoch=0)]
+    inputs = corpus.training_inputs(corpus.vocab, tasks)
+    seq = [t for t, _, _ in _epoch_batches(inputs, tasks, cfg, epoch=0)]
     per = len(seq) // 3
     want = [t for _ in range(per) for t in TaskKind]
     assert seq == want
-    for t, batch in _epoch_batches(tasks, cfg, epoch=0):
+    for t, batch, easy in _epoch_batches(inputs, tasks, cfg, epoch=0):
         assert {corpus.examples[e].task for e in batch} == {t}
-        assert len(batch) == cfg.batch_size
+        assert len(batch) == len(easy) == cfg.batch_size
 
 
 def test_easy_negative_never_positive_or_semi_hard():
-    corpus = tiny_corpus()
-    from convret.training import _easy_negative
-    from convret.corpus import derive_rng, semi_hard_id
-    for ex in corpus.examples[:40]:
-        for epoch in range(3):
-            cid = _easy_negative(ex, epoch, 0, corpus)
-            assert cid != ex.positive_id
-            assert cid != semi_hard_id(ex)
-            assert cid in corpus.pools[ex.task]
-            # oracle: the same draw indexing the explicitly filtered list
-            exclude = {ex.positive_id, semi_hard_id(ex)}
-            ids = [c for c in corpus.pools[ex.task] if c not in exclude]
-            rng = derive_rng(0, "easy", ex.dialogue_id, ex.query_turn_index, epoch)
-            assert cid == ids[int(rng.integers(len(ids)))]
+    corpus = tiny_corpus(sessions=3)  # half the examples have a semi-hard
+    for seed, epoch in itertools.product((0, 7), range(3)):
+        cfg = tiny_train_cfg(seed=seed)
+        tasks = _task_examples(corpus, cfg)
+        inputs = corpus.training_inputs(corpus.vocab, tasks)
+        # oracle: the same per-(task, epoch) draw over each task's examples
+        # in corpus order, indexing the explicitly filtered id list
+        want = {}
+        for t, rows in tasks.items():
+            exs = [corpus.examples[e] for e in rows]
+            left = [[c for c in corpus.pools[t]
+                     if c not in (ex.positive_id, semi_hard_id(ex))] for ex in exs]
+            picks = derive_rng(seed, "easy", t.value, epoch).integers(
+                [len(ids) for ids in left])
+            want.update((int(e), ids[p]) for e, ids, p in zip(rows, left, picks))
+        got = {}
+        for t, batch, easy in _epoch_batches(inputs, tasks, cfg, epoch):
+            ids, _ = corpus.pool_order(t)
+            got.update((int(e), ids[p]) for e, p in zip(batch, easy))
+        assert len(got) == _steps(tasks, cfg) * cfg.batch_size
+        assert got == {e: want[e] for e in got}
 
 
-def test_easy_negative_needs_a_candidate_left():
-    from convret.training import _easy_negative
+def test_train_groups_examples_by_task_once(monkeypatch):
+    calls = []
+    task_examples = training_mod._task_examples
+    monkeypatch.setattr(training_mod, "_task_examples",
+                        lambda *args: calls.append(args) or task_examples(*args))
+    train(tiny_corpus(), tiny_train_cfg(), max_steps=1)
+    assert len(calls) == 1
+
+
+def test_easy_negative_needs_a_candidate_left(monkeypatch):
+    # every persona example's positive is the pool's one candidate
     corpus = tiny_corpus()
-    ex = corpus.examples[0]
-    corpus.pools[ex.task] = {ex.positive_id: corpus.pools[ex.task][ex.positive_id]}
-    with pytest.raises(ConfigError, match="no easy negative"):
-        _easy_negative(ex, 0, 0, corpus)
+    task = TaskKind.PERSONA
+    only = corpus.examples[[ex.task for ex in corpus.examples].index(task)].positive_id
+    corpus.pools[task] = {only: corpus.pools[task][only]}
+    corpus.examples[:] = [replace(ex, positive_id=only, historical_ids=())
+                          if ex.task is task else ex for ex in corpus.examples]
+    cfg = tiny_train_cfg(regime=task)
+    steps = []
+    monkeypatch.setattr(training_mod, "optimizer_step",
+                        lambda *args: steps.append(args))
+    with pytest.raises(ConfigError, match="persona pool has no easy negative"):
+        train(corpus, cfg)
+    assert steps == []
 
 
 # ---------------------------------------------------------------------------
@@ -305,7 +333,8 @@ def test_checkpoint_corruption_and_version_errors(tmp_path):
     extra.write_bytes(blob + b"\x00")
     with pytest.raises(CheckpointError, match="trailing"):
         load_checkpoint(extra)
-    for edit in (_drop_step, _negative_step, _fractional_step, _bogus_mode):
+    for edit in (_drop_step, _negative_step, _fractional_step, _bogus_mode,
+                 _fractional_k):
         broken = tmp_path / f"{edit.__name__}.ckpt"
         broken.write_bytes(edit(blob))
         with pytest.raises(CheckpointError, match="header"):
@@ -348,6 +377,10 @@ def _bogus_mode(blob: bytes) -> bytes:
     return _edit_header(blob, lambda h: h["config"]["mode"].update(kind="bogus"))
 
 
+def _fractional_k(blob: bytes) -> bytes:
+    return _edit_header(blob, lambda h: h["config"]["mode"].update(k=2.5))
+
+
 def _break_corpus(corpus, ck):
     corpus.dialogues.insert(0, None)  # raises after the candidate records
 
@@ -373,12 +406,18 @@ def test_failed_write_keeps_the_previous_file(tmp_path, write, obj, spoil):
     assert [p.name for p in tmp_path.iterdir()] == ["out"]
 
 
-def test_resume_equals_uninterrupted_run(tmp_path):
+@pytest.mark.parametrize("stop", [
+    lambda per_epoch: per_epoch // 2, lambda per_epoch: per_epoch,
+    lambda per_epoch: 2 * per_epoch - 3],
+    ids=["mid_first_epoch", "epoch_boundary", "mid_last_epoch"])
+def test_resume_equals_uninterrupted_run(tmp_path, stop):
     corpus = tiny_corpus()
     cfg = tiny_train_cfg(epochs=2, schedule=Schedule.LINEAR_DECAY)
     full_ck, full_hist = train(corpus, cfg)
+    per_epoch = steps_per_epoch(corpus, cfg)
+    assert len(full_hist) == 2 * per_epoch and per_epoch > 3
 
-    part_ck, part_hist = train(corpus, cfg, max_steps=len(full_hist) - 3)
+    part_ck, part_hist = train(corpus, cfg, max_steps=stop(per_epoch))
     p = tmp_path / "part.ckpt"
     save_checkpoint(part_ck, p)
     resumed_ck, resumed_hist = train(corpus, cfg, start=load_checkpoint(p))
