@@ -7,11 +7,12 @@ intermediate gradient as soon as its op has passed it on. The primitives:
 
 - arithmetic: matmul, dot, add/sub/mul (with numpy broadcasting, so a
   vector adds to every matrix row and a column scales each row), scalar
-  ``scale``, sigmoid, tanh, softmax (of a vector) and mean;
-- row-wise: ``masked_softmax`` (softmax of each row over a mask) and
-  ``logsumexp`` (over the last axis, so per row for a matrix);
-- structural, gradients routed unchanged: concat, reshape, transpose,
-  ``gather`` (rows or entries by an index array) and ``diag``;
+  ``scale``, sigmoid, tanh and mean;
+- over the last axis, so per row for a matrix: ``softmax`` (optionally
+  over a mask) and ``logsumexp``;
+- structural, gradients routed unchanged: concat, reshape, transpose and
+  ``gather`` (rows or entries by an index array, or matrix entries by a
+  pair of row and column index arrays);
 - ``segment_mean``: the mean of table rows per id segment, a sparse
   product of an embedding matrix with normalized one-hot count rows.
 
@@ -168,13 +169,23 @@ def sigmoid(a: Tensor, tape: Tape | None = None) -> Tensor:
     return _emit(tape, "sigmoid", (a,), (out,), out)
 
 
-def softmax(v: Tensor, tape: Tape | None = None) -> Tensor:
-    if v.values.ndim != 1 or v.shape[0] < 1:
-        raise DimensionError(f"softmax needs a non-empty vector, got shape {v.shape}")
-    shifted = v.values - np.max(v.values)
-    e = np.exp(shifted)
-    out = e / np.sum(e)
-    return _emit(tape, "softmax", (v,), (out,), out)
+def softmax(a: Tensor, tape: Tape | None = None, mask=None) -> Tensor:
+    """Softmax over the last axis, so per row for a matrix. With a boolean
+    ``mask`` of the same shape it runs over the true entries only, and the
+    others are exactly zero; every row then needs a true entry."""
+    if a.values.ndim == 0 or a.shape[-1] < 1:
+        raise DimensionError(f"softmax needs non-empty rows, got shape {a.shape}")
+    x = a.values
+    if mask is not None:
+        mask = np.asarray(mask, dtype=bool)
+        if mask.shape != a.shape:
+            raise DimensionError(f"softmax: shapes {a.shape} and mask {mask.shape}")
+        if not np.all(mask.any(axis=-1)):
+            raise DimensionError("softmax of a fully masked row")
+        x = np.where(mask, x, -np.inf)
+    e = np.exp(x - x.max(axis=-1, keepdims=True))
+    out = e / e.sum(axis=-1, keepdims=True)
+    return _emit(tape, "softmax", (a,), (out,), out)
 
 
 def concat(parts: list[Tensor], tape: Tape | None = None) -> Tensor:
@@ -207,18 +218,18 @@ def transpose(a: Tensor, tape: Tape | None = None) -> Tensor:
 
 def gather(a: Tensor, idx, tape: Tape | None = None) -> Tensor:
     """``a[idx]`` for an integer index array: rows of a matrix for a 1-D
-    index, entries of a vector for a 1-D or 2-D one. Repeats are allowed."""
-    idx = np.asarray(idx, dtype=np.intp)
-    if a.values.ndim == 0 or a.values.ndim + idx.ndim - 1 > 2:
-        raise DimensionError(f"gather of shape {a.shape} by index rank {idx.ndim}")
+    index, entries of a vector for a 1-D or 2-D one. A pair ``(rows, cols)``
+    of broadcastable index arrays picks those entries of a matrix. Repeats
+    are allowed."""
+    if isinstance(idx, tuple):
+        idx = tuple(np.asarray(i, dtype=np.intp) for i in idx)
+        if a.values.ndim != 2 or len(idx) != 2 or np.broadcast(*idx).ndim > 2:
+            raise DimensionError(f"gather of shape {a.shape} by a {len(idx)}-tuple index")
+    else:
+        idx = np.asarray(idx, dtype=np.intp)
+        if a.values.ndim == 0 or a.values.ndim + idx.ndim - 1 > 2:
+            raise DimensionError(f"gather of shape {a.shape} by index rank {idx.ndim}")
     return _emit(tape, "gather", (a,), (idx, a.shape), a.values[idx])
-
-
-def diag(a: Tensor, tape: Tape | None = None) -> Tensor:
-    """Diagonal of a square matrix."""
-    if a.values.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise DimensionError(f"diag needs a square matrix, got shape {a.shape}")
-    return _emit(tape, "diag", (a,), (a.shape,), np.diagonal(a.values).copy())
 
 
 SEGMENT_CHUNK = 1024  # tokens gathered at once inside segment_mean
@@ -268,21 +279,6 @@ def segment_mean(table: Tensor, ids, offsets, tape: Tape | None = None) -> Tenso
 def tanh(a: Tensor, tape: Tape | None = None) -> Tensor:
     out = np.tanh(a.values)
     return _emit(tape, "tanh", (a,), (out,), out)
-
-
-def masked_softmax(a: Tensor, mask, tape: Tape | None = None) -> Tensor:
-    """Softmax of each matrix row over its entries where ``mask`` is true;
-    masked-out entries are exactly zero. Every row needs a true entry."""
-    mask = np.asarray(mask, dtype=bool)
-    if a.values.ndim != 2 or mask.shape != a.shape:
-        raise DimensionError(f"masked_softmax: shapes {a.shape} and {mask.shape}")
-    if not np.all(mask.any(axis=1)):
-        raise DimensionError("masked_softmax of a fully masked row")
-    shifted = np.where(mask, a.values, -np.inf)
-    shifted -= shifted.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    out = e / e.sum(axis=1, keepdims=True)
-    return _emit(tape, "masked_softmax", (a,), (out,), out)
 
 
 def logsumexp(a: Tensor, tape: Tape | None = None) -> Tensor:
@@ -386,7 +382,7 @@ def _vjp_sigmoid(node, g, store):
 
 def _vjp_softmax(node, g, store):
     s = node.saved[0]
-    _acc(store, node.inputs[0], s * (g - np.dot(g, s)))
+    _acc(store, node.inputs[0], s * (g - np.einsum("...i,...i->...", g, s)[..., None]))
 
 
 def _vjp_concat(node, g, store):
@@ -415,12 +411,6 @@ def _vjp_gather(node, g, store):
     np.add.at(_zeros_at(store, node.inputs[0], shape), idx, g)
 
 
-def _vjp_diag(node, g, store):
-    (shape,) = node.saved
-    buf = _zeros_at(store, node.inputs[0], shape)
-    buf[np.diag_indices(shape[0])] += g
-
-
 def _vjp_segment_mean(node, g, store):
     ids, offsets, shape = node.saved
     counts = offsets[1:] - offsets[:-1]
@@ -437,11 +427,6 @@ def _vjp_segment_mean(node, g, store):
 def _vjp_tanh(node, g, store):
     t = node.saved[0]
     _acc(store, node.inputs[0], g * (1.0 - t * t))
-
-
-def _vjp_masked_softmax(node, g, store):
-    s = node.saved[0]
-    _acc(store, node.inputs[0], s * (g - np.einsum("ij,ij->i", g, s)[:, None]))
 
 
 def _vjp_logsumexp(node, g, store):
@@ -462,10 +447,8 @@ _VJP = {
     "reshape": _vjp_reshape,
     "transpose": _vjp_transpose,
     "gather": _vjp_gather,
-    "diag": _vjp_diag,
     "segment_mean": _vjp_segment_mean,
     "tanh": _vjp_tanh,
-    "masked_softmax": _vjp_masked_softmax,
     "logsumexp": _vjp_logsumexp,
 }
 

@@ -43,10 +43,6 @@ def _mode_arg(name: str, k: int) -> ContextMode:
     return MODES[name]()
 
 
-def _task_arg(name: str) -> TaskKind:
-    return TaskKind(name)
-
-
 def _emit(doc) -> None:
     print(json.dumps(doc, sort_keys=True))
 
@@ -70,6 +66,13 @@ def _add_train_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--positions", type=int, default=_TRAIN.positions,
                    help="position-table size, 0 disables")
     p.add_argument("--seed", type=int, default=_TRAIN.seed)
+
+
+def _add_checkpoint_options(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--corpus", required=True)
+    p.add_argument("--ckpt", required=True)
+    p.add_argument("--task", required=True, choices=[t.value for t in TaskKind])
+    p.add_argument("--seed", type=int, default=0)
 
 
 def _train_config(args, regime: TaskKind | None) -> TrainConfig:
@@ -107,11 +110,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_train_options(p)
 
     p = sub.add_parser("eval", help="evaluate a checkpoint on one task")
-    p.add_argument("--corpus", required=True)
-    p.add_argument("--ckpt", required=True)
-    p.add_argument("--task", required=True, choices=[t.value for t in TaskKind])
+    _add_checkpoint_options(p)
     p.add_argument("--pool-size", type=int, default=64)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--mode", choices=sorted(MODES), default=None,
                    help="override the checkpoint's context mode")
     p.add_argument("--k", type=int, default=3)
@@ -119,19 +119,13 @@ def build_parser() -> argparse.ArgumentParser:
                    help="accepted for compatibility; output is always JSON")
 
     p = sub.add_parser("sweep-pool", help="evaluate across pool sizes")
-    p.add_argument("--corpus", required=True)
-    p.add_argument("--ckpt", required=True)
-    p.add_argument("--task", required=True, choices=[t.value for t in TaskKind])
+    _add_checkpoint_options(p)
     p.add_argument("--sizes", type=_csv_ints, default="256,128,64,32,16,8,4,2")
-    p.add_argument("--seed", type=int, default=0)
 
     p = sub.add_parser("sweep-k", help="evaluate across top-K settings")
-    p.add_argument("--corpus", required=True)
-    p.add_argument("--ckpt", required=True)
-    p.add_argument("--task", required=True, choices=[t.value for t in TaskKind])
+    _add_checkpoint_options(p)
     p.add_argument("--ks", type=_csv_ints, default="1,2,3,4")
     p.add_argument("--pool-size", type=int, default=64)
-    p.add_argument("--seed", type=int, default=0)
 
     p = sub.add_parser("ablate", help="retrain and compare ablation variants")
     p.add_argument("--corpus", required=True)
@@ -171,7 +165,7 @@ def _cmd_eval(args) -> None:
     corpus = load_corpus(args.corpus)
     ck = load_checkpoint(args.ckpt)
     mode = None if args.mode is None else _mode_arg(args.mode, args.k)
-    report = evaluate(corpus, ck, _task_arg(args.task), args.pool_size,
+    report = evaluate(corpus, ck, TaskKind(args.task), args.pool_size,
                       args.seed, mode)
     _emit(report.to_dict())
 
@@ -180,7 +174,7 @@ def _cmd_sweep_pool(args) -> None:
     sizes = _distinct("--sizes", args.sizes)
     corpus = load_corpus(args.corpus)
     ck = load_checkpoint(args.ckpt)
-    reports = pool_size_sweep(corpus, ck, _task_arg(args.task), sizes, args.seed)
+    reports = pool_size_sweep(corpus, ck, TaskKind(args.task), sizes, args.seed)
     _emit([r.to_dict() for r in reports])
 
 
@@ -188,7 +182,7 @@ def _cmd_sweep_k(args) -> None:
     ks = _distinct("--ks", args.ks)
     corpus = load_corpus(args.corpus)
     ck = load_checkpoint(args.ckpt)
-    reports = k_sweep(corpus, ck, _task_arg(args.task), ks, args.pool_size,
+    reports = k_sweep(corpus, ck, TaskKind(args.task), ks, args.pool_size,
                       args.seed)
     _emit([r.to_dict() for r in reports])
 

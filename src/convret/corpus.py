@@ -15,7 +15,6 @@ import enum
 import hashlib
 import itertools
 import json
-import operator
 import os
 from dataclasses import dataclass, field
 
@@ -482,57 +481,42 @@ def _token_rows(texts: list[str], lead, vocab: dict[str, int],
 
 def _compile_utterances(corpus: Corpus, vocab: dict[str, int]) -> TrainingInputs:
     """Every utterance's tokens, every example's rows and targets; no candidates."""
-    attr = operator.attrgetter
-    utts = [u for d in corpus.dialogues for s in d.sessions for u in s.utterances]
-    turns = np.fromiter(map(attr("turn_index"), utts), np.int64, len(utts))
-    user = np.fromiter(map(operator.is_, map(attr("role"), utts),
-                           itertools.repeat(Role.USER)), bool, len(utts))
-    sessions = np.array([len(d.sessions) for d in corpus.dialogues], np.intp)
-    lens = np.array([len(s.utterances) for d in corpus.dialogues
-                     for s in d.sessions], np.intp)
-    starts = np.cumsum(lens) - lens  # each session's first row
-    # (dialogue, turn) as one sortable key; a turn index repeated in a
-    # dialogue resolves to its last row, as in ``split_sessions``
-    span = int(turns.max(initial=0)) + 1
-    keys = np.repeat(np.repeat(np.arange(sessions.size), sessions), lens) * span + turns
-    order = np.argsort(keys, kind="stable")
-    index = {d.dialogue_id: i for i, d in enumerate(corpus.dialogues)}
     exs = corpus.examples
-    dia = np.fromiter(map(index.get, map(attr("dialogue_id"), exs),
-                          itertools.repeat(-1)), np.intp, len(exs))
-    turn = np.fromiter(map(attr("query_turn_index"), exs), np.int64, len(exs))
-    at = np.searchsorted(keys[order], dia * span + turn, side="right") - 1
-    query = order[at]
-    bad = ((dia < 0) | (turn < 0) | (turn >= span) | (at < 0)
-           | (keys[query] != dia * span + turn) | ~user[query])
-    if np.any(bad):
-        ex = exs[int(np.argmax(bad))]
+    wanted: dict[str, list[int]] = {}
+    for e, ex in enumerate(exs):
+        wanted.setdefault(ex.dialogue_id, []).append(e)
+    utts: list[Utterance] = []
+    examples: list[tuple[int, int, int] | None] = [None] * len(exs)
+    for d in corpus.dialogues:
+        # each user turn's (start, split, query) rows; a turn index repeated
+        # in a dialogue resolves to its last row, as in ``split_sessions``
+        first, at, single = len(utts), {}, len(d.sessions) == 1
+        for s in d.sessions:
+            split = len(utts)
+            for r, u in enumerate(s.utterances, split):
+                # a single session splits into (user, system) units: nothing
+                # of the query's own unit precedes it
+                at[u.turn_index] = ((first, r if single else split, r)
+                                    if u.role is Role.USER else None)
+            utts.extend(s.utterances)
+        for e in wanted.get(d.dialogue_id, ()):
+            examples[e] = at.get(exs[e].query_turn_index)
+    if None in examples:
+        ex = exs[examples.index(None)]
         raise ContractError(f"dialogue {ex.dialogue_id} has no user turn "
                             f"{ex.query_turn_index}")
-    # a single session splits into (user, system) units: nothing of the
-    # query's own unit precedes it
-    split = np.where(sessions[dia] == 1, query, np.repeat(starts, lens)[query])
-    first = starts[np.cumsum(sessions) - sessions][dia]
     tokens, offsets = _token_rows(
-        list(map(attr("text"), utts)),
-        np.where(user, ROLE_TOKEN[Role.USER], ROLE_TOKEN[Role.SYSTEM]),
+        [u.text for u in utts],
+        np.where([u.role is Role.USER for u in utts], ROLE_TOKEN[Role.USER],
+                 ROLE_TOKEN[Role.SYSTEM]),
         vocab, MAX_UTTERANCE_TOKENS)
     position = {t: corpus.pool_order(t)[1] for t in TaskKind}
     targets = [[position[ex.task][ex.positive_id if cid is None else cid]
                 for cid in (ex.positive_id, semi_hard_id(ex))] for ex in exs]
-    return TrainingInputs(vocab, tokens, offsets, turns.astype(np.int32),
-                          np.stack([first, split, query], 1).astype(np.int32), {},
+    return TrainingInputs(vocab, tokens, offsets,
+                          np.array([u.turn_index for u in utts], np.int32),
+                          np.array(examples, np.int32).reshape(-1, 3), {},
                           np.array(targets, np.intp).reshape(-1, 2))
-
-
-def skip_positions(pick: int, skipped: list[int]) -> int:
-    """Position of the ``pick``-th remaining entry of a sequence once the
-    ascending ``skipped`` positions are removed from it: ``pick`` is shifted
-    past each skipped position at or below it."""
-    for p in skipped:
-        if pick >= p:
-            pick += 1
-    return pick
 
 
 def sample_pool(ex: RetrievalExample, corpus: Corpus, pool_size: int,
@@ -541,7 +525,8 @@ def sample_pool(ex: RetrievalExample, corpus: Corpus, pool_size: int,
     historical candidate, random distinct fillers; seeded shuffle.
 
     Fillers are drawn by index from the pool order with the chosen ids
-    removed, without building that list (see ``skip_positions``)."""
+    removed, without building that list: each draw gains one for each
+    removed position, in ascending order, at or below it."""
     corpus.check_pool_size(ex.task, pool_size)
     pool = corpus.pools[ex.task]
     chosen = [ex.positive_id]
@@ -554,7 +539,9 @@ def sample_pool(ex: RetrievalExample, corpus: Corpus, pool_size: int,
     fill = pool_size - len(chosen)
     if fill:
         picks = rng.choice(len(ids) - len(skipped), size=fill, replace=False)
-        chosen.extend(ids[skip_positions(int(i), skipped)] for i in picks)
+        for p in skipped:
+            picks += picks >= p
+        chosen.extend(ids[i] for i in picks)
     order = rng.permutation(len(chosen))
     return [pool[chosen[i]] for i in order]
 

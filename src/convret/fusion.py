@@ -89,23 +89,20 @@ def attend(h_query: ad.Tensor, H_hist: list[ad.Tensor],
     """Scaled dot-product attention of the query over history vectors."""
     if not H_hist:
         raise ContractError("attend over an empty history")
-    d = h_query.shape[0]
-    scores = [ad.scale(ad.dot(h_query, h, tape), 1.0 / math.sqrt(d), tape)
-              for h in H_hist]
-    weights = ad.softmax(ad.concat(scores, tape), tape)
-    return ad.matmul(weights, ad.stack(H_hist, tape), tape)
+    H = ad.stack(H_hist, tape)
+    scores = ad.scale(ad.matmul(H, h_query, tape), 1.0 / math.sqrt(h_query.shape[0]), tape)
+    return ad.matmul(ad.softmax(scores, tape), H, tape)
 
 
 def gate_fuse(h_hist: ad.Tensor, h_query: ad.Tensor, params: FusionParams,
               tape: ad.Tape | None = None) -> tuple[ad.Tensor, ad.Tensor]:
-    """Blend history and query: lambda = sigmoid(w . [h_hist; h_query])."""
+    """Blend history and query: lambda = sigmoid(w . [h_hist; h_query]) and
+    h = h_query + lambda (h_hist - h_query)."""
     if h_hist.shape != h_query.shape:
         raise ContractError(f"shapes {h_hist.shape} and {h_query.shape} differ")
     lam = ad.sigmoid(ad.dot(params.gate_w,
                             ad.concat([h_hist, h_query], tape), tape), tape)
-    one_minus = ad.sub(ad.scalar(1.0), lam, tape)
-    h_d = ad.add(ad.mul(lam, h_hist, tape), ad.mul(one_minus, h_query, tape), tape)
-    return h_d, lam
+    return ad.add(h_query, ad.mul(lam, ad.sub(h_hist, h_query, tape), tape), tape), lam
 
 
 def _concat_ids(utts: list[Utterance], vocab: dict[str, int]) -> list[int]:
@@ -217,7 +214,7 @@ def encode_contexts(inputs: TrainingInputs, examples, mode: ContextMode,
     Q = ad.gather(U, q_cols, tape)
     scores = ad.scale(ad.matmul(Q, ad.transpose(U, tape), tape),
                       1.0 / math.sqrt(dim), tape)
-    H = ad.matmul(ad.masked_softmax(scores, mask, tape), U, tape)
+    H = ad.matmul(ad.softmax(scores, tape, mask), U, tape)
     # lambda = sigmoid(w . [h_hist; h_query]); h = h_query + lambda (h_hist - h_query)
     # (d, 1) weight columns make lambda a (B, 1) column that scales each row
     cols = np.arange(2 * dim)[:, None]

@@ -61,7 +61,8 @@ def batch_similarities(cross: ad.Tensor, semi: ad.Tensor, easy: ad.Tensor,
                        semi_present: np.ndarray,
                        tape: ad.Tape | None = None) -> BatchSimilarities:
     """Build BatchSimilarities deriving pos from the cross diagonal on-tape."""
-    return BatchSimilarities(ad.diag(cross, tape), cross, semi, easy,
+    diag = np.arange(cross.shape[0])
+    return BatchSimilarities(ad.gather(cross, (diag, diag), tape), cross, semi, easy,
                              np.asarray(semi_present, dtype=bool))
 
 

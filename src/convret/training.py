@@ -283,7 +283,8 @@ def _epoch_batches(inputs: TrainingInputs, tasks: dict[TaskKind, np.ndarray],
 
     An example's easy negative is never its positive or its semi-hard: one
     draw per task and epoch picks from each pool with those positions
-    removed, then shifts past them by the ``skip_positions`` rule."""
+    removed, then adds one for each removed position, in ascending order,
+    at or below the draw."""
     per_task = {}
     for t, rows in tasks.items():
         lo, hi = np.sort(inputs.targets[rows], axis=1).T
@@ -331,13 +332,11 @@ def _batch_loss(inputs: TrainingInputs, task: TaskKind, batch: np.ndarray,
     pos_cols, semi_cols, easy_cols = inverse.reshape(3, -1)
     cand_rows = encode_batch(*inputs.candidate_seqs(task, need), enc, tape)
 
-    b, n = len(batch), need.size
-    scores = ad.reshape(ad.matmul(contexts, ad.transpose(cand_rows, tape), tape),
-                        (b * n,), tape)
-    base = np.arange(b) * n
-    cross = ad.gather(scores, base[:, None] + pos_cols[None, :], tape)
-    sims = batch_similarities(cross, ad.gather(scores, base + semi_cols, tape),
-                              ad.gather(scores, base + easy_cols, tape),
+    scores = ad.matmul(contexts, ad.transpose(cand_rows, tape), tape)
+    rows = np.arange(len(batch))
+    sims = batch_similarities(ad.gather(scores, (rows[:, None], pos_cols), tape),
+                              ad.gather(scores, (rows, semi_cols), tape),
+                              ad.gather(scores, (rows, easy_cols), tape),
                               semi != pos, tape)
     return combined_loss(sims, cfg.loss_config(), tape)
 

@@ -151,12 +151,14 @@ def test_row_wise_ops_match_numpy():
     np.testing.assert_array_equal(ad.add(ad.Tensor(m), ad.Tensor(v4)).values, m + v4)
     np.testing.assert_array_equal(ad.sub(ad.Tensor(v4), ad.Tensor(m)).values, v4 - m)
     np.testing.assert_array_equal(ad.mul(ad.Tensor(m), ad.Tensor(c3)).values, m * c3)
-    np.testing.assert_array_equal(ad.diag(ad.Tensor(m[:, :3])).values,
-                                  np.diagonal(m[:, :3]))
     np.testing.assert_allclose(ad.logsumexp(ad.Tensor(m)).values,
                                np.logaddexp.reduce(m, axis=1), rtol=1e-12)
+    got = ad.softmax(ad.Tensor(m)).values
+    for i in range(3):
+        np.testing.assert_array_equal(got[i], ad.softmax(ad.Tensor(m[i])).values)
     mask = np.array([[1, 0, 1, 1], [0, 1, 0, 0], [1, 1, 1, 1]], dtype=bool)
-    got = ad.masked_softmax(ad.Tensor(m), mask).values
+    got = ad.softmax(ad.Tensor(m), mask=mask).values
+    np.testing.assert_array_equal(got[2], ad.softmax(ad.Tensor(m[2])).values)
     for i in range(3):
         e = np.exp(m[i][mask[i]])
         np.testing.assert_allclose(got[i][mask[i]], e / e.sum(), rtol=1e-12)
@@ -173,6 +175,10 @@ def test_gather_rows_and_entries():
                                   [[12.0, 10.0], [11.0, 11.0]])
     np.testing.assert_array_equal(ad.gather(m, 1).values, [2.0, 3.0])
     assert ad.gather(v, 2).item() == 12.0
+    # (rows, cols) pairs broadcast: a diagonal, and a grid with a repeat
+    np.testing.assert_array_equal(ad.gather(m, ([0, 1], [0, 1])).values, [0.0, 3.0])
+    np.testing.assert_array_equal(ad.gather(m, (np.array([[2], [0]]), [1, 1, 0])).values,
+                                  [[5.0, 5.0, 4.0], [1.0, 1.0, 0.0]])
 
 
 # ---------------------------------------------------------------------------
@@ -189,7 +195,7 @@ def test_shape_errors():
     with pytest.raises(DimensionError):
         ad.matmul(ad.Tensor([[1.0, 2.0]]), ad.Tensor([[1.0, 2.0]]))
     with pytest.raises(DimensionError):
-        ad.softmax(ad.Tensor(np.zeros((2, 2))))
+        ad.softmax(ad.Tensor(np.zeros((2, 0))))
     with pytest.raises(DimensionError):
         ad.Tensor(np.zeros((2, 2, 2)))
     with pytest.raises(DimensionError):
@@ -202,9 +208,11 @@ def test_shape_errors():
         with pytest.raises(DimensionError):
             ad.sub(ad.Tensor(np.zeros(y)), ad.Tensor(np.zeros(x)))
     with pytest.raises(DimensionError):
-        ad.diag(ad.Tensor(np.zeros((3, 2))))
+        ad.softmax(ad.Tensor(np.zeros((2, 2))), mask=[True, False])
     with pytest.raises(DimensionError):
-        ad.masked_softmax(ad.Tensor(np.zeros((2, 2))), [[True, False], [False, False]])
+        ad.softmax(ad.Tensor(np.zeros((2, 2))), mask=[[True, False], [False, False]])
+    with pytest.raises(DimensionError):
+        ad.gather(b, ([0, 1], [1, 2]))
 
 
 def test_backward_requires_recorded_scalar():
@@ -302,8 +310,9 @@ def _single_op_cases(rng):
                         lambda t, p: _weighted(t, ad.gather(p["a"], [2, 0, 2], t))),
         "gather_entries": ({"a": v4},
                            lambda t, p: _weighted(t, ad.gather(p["a"], [[3, 0], [3, 3]], t))),
-        "diag": ({"a": rand_tensor(rng, (3, 3))},
-                 lambda t, p: _weighted(t, ad.diag(p["a"], t))),
+        "gather_pairs": ({"a": a2},
+                         lambda t, p: _weighted(t, ad.gather(
+                             p["a"], (np.array([[2], [0], [2]]), [3, 0, 3]), t))),
         "add_broadcast_row": ({"a": a2, "v": v4},
                               lambda t, p: _weighted(t, ad.add(p["a"], p["v"], t))),
         "sub_broadcast_row": ({"a": a2, "v": v4},
@@ -313,8 +322,9 @@ def _single_op_cases(rng):
         "scalar_with_matrix": ({"a": a2, "s": s},
                                lambda t, p: _weighted(t, ad.mul(ad.sub(
                                    p["s"], p["a"], t), ad.add(p["a"], p["s"], t), t))),
-        "masked_softmax": ({"a": a2}, lambda t, p: _weighted(t, ad.masked_softmax(
-            p["a"], [[1, 0, 1, 1], [0, 1, 0, 0], [1, 1, 1, 1]], t))),
+        "softmax_rows": ({"a": a2}, lambda t, p: _weighted(t, ad.softmax(p["a"], t))),
+        "softmax_rows_masked": ({"a": a2}, lambda t, p: _weighted(t, ad.softmax(
+            p["a"], t, [[1, 0, 1, 1], [0, 1, 0, 0], [1, 1, 1, 1]]))),
     }
 
 
@@ -327,6 +337,15 @@ def test_every_op_passes_finite_difference_check():
 
         err = ad.grad_check(f, params, eps=1e-4)
         assert err < 1e-4, f"{name}: max relative error {err}"
+
+
+def test_every_differentiable_op_has_a_finite_difference_case():
+    recorded = set()
+    for params, body in _single_op_cases(np.random.default_rng(18)).values():
+        tape = ad.Tape()
+        body(tape, params)
+        recorded.update(node.op for node in tape.nodes)
+    assert set(ad._VJP) <= recorded, sorted(set(ad._VJP) - recorded)
 
 
 def test_random_composite_programs_pass_finite_difference_check():

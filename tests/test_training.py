@@ -24,7 +24,9 @@ from convret.training import (Checkpoint, Schedule, TrainConfig,
                               steps_per_epoch, train)
 
 
-def tiny_corpus(dialogues=12, seed=0, sessions=2):
+def tiny_corpus(dialogues=12, seed=0, sessions=3):
+    # three sessions give half the examples a semi-hard candidate, so the
+    # pairwise loss runs in every test built on this corpus
     cfg = GeneratorConfig(topics=6, dialogues_per_task=dialogues,
                           sessions_per_dialogue=sessions, turns_per_session=2,
                           words_per_topic=8, common_words=6, entities=6,
@@ -208,7 +210,7 @@ def test_full_regime_interleaves_tasks_round_robin():
 
 
 def test_easy_negative_never_positive_or_semi_hard():
-    corpus = tiny_corpus(sessions=3)  # half the examples have a semi-hard
+    corpus = tiny_corpus()  # half the examples have a semi-hard
     for seed, epoch in itertools.product((0, 7), range(3)):
         cfg = tiny_train_cfg(seed=seed)
         tasks = _task_examples(corpus, cfg)
@@ -471,7 +473,7 @@ def test_pair_only_objective_survives_semi_free_batches():
     # two-session dialogues put every example at the first example unit, so
     # no example carries history; the pair-only loss is then the constant
     # zero and the step must apply zero gradients instead of failing
-    corpus = tiny_corpus()
+    corpus = tiny_corpus(sessions=2)
     assert all(not ex.historical_ids for ex in corpus.examples)
     cfg = tiny_train_cfg(use_hist=False)
     ck, hist = train(corpus, cfg)
