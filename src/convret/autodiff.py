@@ -5,9 +5,9 @@ record onto an explicit ``Tape``; ``backward`` replays the tape in reverse
 to produce gradients for every leaf that requires them, dropping each
 intermediate gradient as soon as its op has passed it on. The primitives:
 
-- arithmetic: matmul, dot, add/sub/mul (with numpy broadcasting, so a
-  vector adds to every matrix row and a column scales each row), scalar
-  ``scale``, sigmoid, tanh and mean;
+- arithmetic: matmul (``dot`` is its vector-vector case), add/sub/mul
+  (with numpy broadcasting, so a vector adds to every matrix row and a
+  column scales each row), scalar ``scale``, sigmoid, tanh and mean;
 - over the last axis, so per row for a matrix: ``softmax`` (optionally
   over a mask) and ``logsumexp``;
 - structural, gradients routed unchanged: concat, reshape, transpose and
@@ -156,7 +156,7 @@ def matmul(a: Tensor, b: Tensor, tape: Tape | None = None) -> Tensor:
 def dot(a: Tensor, b: Tensor, tape: Tape | None = None) -> Tensor:
     if a.values.ndim != 1 or b.values.ndim != 1 or a.shape != b.shape:
         raise DimensionError(f"dot: shapes {a.shape} and {b.shape}")
-    return _emit(tape, "dot", (a, b), (a.values, b.values), np.dot(a.values, b.values))
+    return matmul(a, b, tape)
 
 
 def sigmoid(a: Tensor, tape: Tape | None = None) -> Tensor:
@@ -357,22 +357,14 @@ def _vjp_scale(node, g, store):
 
 
 def _vjp_matmul(node, g, store):
+    # every rank pair as (m, k) @ (k, n): a vector ``a`` is one row, a vector
+    # ``b`` one column
     av, bv = node.saved
-    if av.ndim == 2 and bv.ndim == 2:
-        _acc(store, node.inputs[0], g @ bv.T)
-        _acc(store, node.inputs[1], av.T @ g)
-    elif av.ndim == 2:  # (m,k) @ (k,) -> (m,)
-        _acc(store, node.inputs[0], np.outer(g, bv))
-        _acc(store, node.inputs[1], av.T @ g)
-    else:  # (k,) @ (k,n) -> (n,)
-        _acc(store, node.inputs[0], bv @ g)
-        _acc(store, node.inputs[1], np.outer(av, g))
-
-
-def _vjp_dot(node, g, store):
-    av, bv = node.saved
-    _acc(store, node.inputs[0], g * bv)
-    _acc(store, node.inputs[1], g * av)
+    a2 = av.reshape(-1, av.shape[-1])
+    b2 = bv.reshape(bv.shape[0], -1)
+    g2 = g.reshape(a2.shape[0], b2.shape[1])
+    _acc(store, node.inputs[0], (g2 @ b2.T).reshape(av.shape))
+    _acc(store, node.inputs[1], (a2.T @ g2).reshape(bv.shape))
 
 
 def _vjp_sigmoid(node, g, store):
@@ -439,7 +431,6 @@ _VJP = {
     "mul": _vjp_mul,
     "scale": _vjp_scale,
     "matmul": _vjp_matmul,
-    "dot": _vjp_dot,
     "sigmoid": _vjp_sigmoid,
     "softmax": _vjp_softmax,
     "concat": _vjp_concat,

@@ -250,7 +250,8 @@ def _parse_dialogue(rec: dict, lineno: int) -> tuple[Dialogue, list[RetrievalExa
                                   _typed(u["text"], str, "utterance text"), turn))
             turn += 1
         sessions.append(Session(tuple(utts)))
-    examples = [_parse_example(did, e) for e in rec.get("examples", [])]
+    examples = [_parse_example(did, _typed(e, dict, "example"))
+                for e in _typed(rec.get("examples", []), list, "examples")]
     return Dialogue(did, tuple(sessions)), examples
 
 
@@ -347,15 +348,24 @@ def write_corpus(corpus: Corpus, path) -> None:
 # session splitting and pool sampling
 # ---------------------------------------------------------------------------
 
-def _pair_units(utterances) -> list[list[Utterance]]:
-    """Group a single session into turn-pair units, one per user utterance."""
-    units: list[list[Utterance]] = []
-    for u in utterances:
-        if u.role is Role.USER or not units:
-            units.append([u])
-        else:
-            units[-1].append(u)
-    return units
+def _turn_rows(d: Dialogue) -> dict[int, tuple[int, int] | None]:
+    """Each turn index's (split, query) rows in ``d.turns()``, or None for a
+    system turn; a turn index repeated in a dialogue resolves to its last row.
+
+    Rows [0, split) are the previous sessions and rows [split, query) the
+    earlier turns of the query's own session. A single session splits into
+    (user, system) units, and a user query opens its own unit, so there
+    ``split == query``.
+    """
+    rows: dict[int, tuple[int, int] | None] = {}
+    # Role.USER is looked up once: per row, the lookup costs as much as the
+    # rest of the loop body
+    split, single, user = 0, len(d.sessions) == 1, Role.USER
+    for s in d.sessions:
+        for r, u in enumerate(s.utterances, split):
+            rows[u.turn_index] = (r if single else split, r) if u.role is user else None
+        split += len(s.utterances)
+    return rows
 
 
 def split_sessions(d: Dialogue, query_turn: int):
@@ -366,33 +376,14 @@ def split_sessions(d: Dialogue, query_turn: int):
     session unit. Current-session utterances are those preceding the query
     inside its own unit.
     """
-    target = None
-    session_idx = None
-    for si, sess in enumerate(d.sessions):
-        for u in sess.utterances:
-            if u.turn_index == query_turn:
-                target = u
-                session_idx = si
-    if target is None:
+    rows = _turn_rows(d)
+    if query_turn not in rows:
         raise ContractError(f"dialogue {d.dialogue_id} has no turn {query_turn}")
-    if target.role is not Role.USER:
+    if rows[query_turn] is None:
         raise ContractError(f"turn {query_turn} of {d.dialogue_id} is not a user turn")
-
-    if len(d.sessions) == 1:
-        units = _pair_units(d.sessions[0].utterances)
-        prev: list[Utterance] = []
-        curr: list[Utterance] = []
-        for unit in units:
-            if any(u.turn_index == query_turn for u in unit):
-                curr = [u for u in unit if u.turn_index < query_turn]
-                break
-            prev.extend(unit)
-        return prev, curr, target
-
-    prev = [u for s in d.sessions[:session_idx] for u in s.utterances]
-    curr = [u for u in d.sessions[session_idx].utterances
-            if u.turn_index < query_turn]
-    return prev, curr, target
+    split, query = rows[query_turn]
+    turns = d.turns()
+    return turns[:split], turns[split:query], turns[query]
 
 
 def semi_hard_id(ex: RetrievalExample) -> str | None:
@@ -488,19 +479,12 @@ def _compile_utterances(corpus: Corpus, vocab: dict[str, int]) -> TrainingInputs
     utts: list[Utterance] = []
     examples: list[tuple[int, int, int] | None] = [None] * len(exs)
     for d in corpus.dialogues:
-        # each user turn's (start, split, query) rows; a turn index repeated
-        # in a dialogue resolves to its last row, as in ``split_sessions``
-        first, at, single = len(utts), {}, len(d.sessions) == 1
-        for s in d.sessions:
-            split = len(utts)
-            for r, u in enumerate(s.utterances, split):
-                # a single session splits into (user, system) units: nothing
-                # of the query's own unit precedes it
-                at[u.turn_index] = ((first, r if single else split, r)
-                                    if u.role is Role.USER else None)
-            utts.extend(s.utterances)
+        first, rows = len(utts), _turn_rows(d)
         for e in wanted.get(d.dialogue_id, ()):
-            examples[e] = at.get(exs[e].query_turn_index)
+            at = rows.get(exs[e].query_turn_index)
+            if at is not None:
+                examples[e] = (first, first + at[0], first + at[1])
+        utts.extend(d.turns())
     if None in examples:
         ex = exs[examples.index(None)]
         raise ContractError(f"dialogue {ex.dialogue_id} has no user turn "

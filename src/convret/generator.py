@@ -15,10 +15,11 @@ a random encoder is then uniform, which calibrates chance-level metrics.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from .corpus import (Candidate, Corpus, Dialogue, RetrievalExample, Role,
-                     Session, TaskKind, Utterance, build_corpus, derive_rng)
+                     Session, TaskKind, Utterance, _typed, build_corpus,
+                     derive_rng)
 from .errors import ConfigError
 
 
@@ -35,14 +36,16 @@ class GeneratorConfig:
     positive_coupling: bool = True
 
     def __post_init__(self):
-        if self.topics < 1 or self.vocab_size < 1:
-            raise ConfigError("need at least one topic and a non-empty vocabulary")
-        for name in ("dialogues_per_task", "sessions_per_dialogue",
-                     "turns_per_session", "words_per_topic", "utterance_words"):
-            if getattr(self, name) < 1:
-                raise ConfigError(f"{name} must be at least 1")
-        if self.common_words < 1 or self.entities < 1:
-            raise ConfigError("need at least one common word and one entity")
+        # each field has its default's type, int (a bool is no int) or bool,
+        # and every count is at least 1
+        for f in fields(self):
+            value = getattr(self, f.name)
+            try:
+                _typed(value, type(f.default), f.name)
+            except TypeError as exc:
+                raise ConfigError(str(exc)) from exc
+            if type(f.default) is int and value < 1:
+                raise ConfigError(f"{f.name} must be at least 1")
         if self.utterance_words > self.words_per_topic:
             raise ConfigError("utterance_words exceeds words_per_topic")
         units = (self.sessions_per_dialogue if self.sessions_per_dialogue > 1
@@ -50,11 +53,6 @@ class GeneratorConfig:
         if units > self.topics:
             raise ConfigError(f"{units} session units need {units} distinct topics, "
                               f"have {self.topics}")
-
-    @property
-    def vocab_size(self) -> int:
-        return (self.topics * self.words_per_topic
-                + self.common_words + self.entities)
 
 
 def _topic_words(cfg: GeneratorConfig, topic: int) -> list[str]:
@@ -96,7 +94,6 @@ def _build_dialogue(cfg: GeneratorConfig, task: TaskKind, index: int, seed: int)
 
     did = f"{task.value}-{index}"
     candidates: list[Candidate] = []
-    example_specs: list[tuple[int, str]] = []  # (unit, candidate_id)
 
     example_units = list(range(1, n_units)) if n_units > 1 else [0]
     for u in example_units:
@@ -116,33 +113,16 @@ def _build_dialogue(cfg: GeneratorConfig, task: TaskKind, index: int, seed: int)
         else:
             toks = _draw(rng, full_vocab, cfg.utterance_words + 1)
         candidates.append(Candidate(cid, task, " ".join(toks)))
-        example_specs.append((u, cid))
 
-    turn = 0
-    units_as_sessions: list[Session] = []
-    flat_pairs: list[Utterance] = []
-    unit_first_user_turn: dict[int, int] = {}
-    for u in range(n_units):
-        utts: list[Utterance] = []
-        for p in range(pairs_per_unit):
-            if p == 0:
-                unit_first_user_turn[u] = turn
-            utts.append(Utterance(Role.USER, texts[u][p][0], turn))
-            utts.append(Utterance(Role.SYSTEM, texts[u][p][1], turn + 1))
-            turn += 2
-        if single:
-            flat_pairs.extend(utts)
-        else:
-            units_as_sessions.append(Session(tuple(utts)))
-    sessions = ((Session(tuple(flat_pairs)),) if single
-                else tuple(units_as_sessions))
-
-    examples = []
-    seen: list[str] = []
-    for u, cid in example_specs:
-        examples.append(RetrievalExample(did, unit_first_user_turn[u], task,
-                                         cid, tuple(seen)))
-        seen.append(cid)
+    # pair p of unit u is turns 2(u * pairs_per_unit + p) and the one after
+    units = [tuple(Utterance(role, texts[u][p][i], 2 * (u * pairs_per_unit + p) + i)
+                   for p in range(pairs_per_unit)
+                   for i, role in enumerate((Role.USER, Role.SYSTEM)))
+             for u in range(n_units)]
+    sessions = (Session(sum(units, ())),) if single else tuple(map(Session, units))
+    ids = [c.candidate_id for c in candidates]
+    examples = [RetrievalExample(did, 2 * u * pairs_per_unit, task, ids[i], tuple(ids[:i]))
+                for i, u in enumerate(example_units)]
     return Dialogue(did, sessions), candidates, examples
 
 

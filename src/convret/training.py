@@ -216,8 +216,8 @@ def load_checkpoint(path) -> Checkpoint:
         try:
             header = json.loads(_read_record(fh))
             tokens = json.loads(_read_record(fh))
-        except json.JSONDecodeError as exc:
-            raise CheckpointError(f"corrupt checkpoint header: {exc.msg}") from exc
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+            raise CheckpointError(f"corrupt checkpoint header: {exc}") from exc
         try:
             declared = [(str(name), [int(n) for n in shape])
                         for name, shape in header["arrays"]]

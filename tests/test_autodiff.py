@@ -284,6 +284,8 @@ def _single_op_cases(rng):
                       lambda t, p: ad.mean(ad.matmul(p["a"], p["v"], t), t)),
         "matmul_vm": ({"v": v3, "b": a2},
                       lambda t, p: ad.mean(ad.matmul(p["v"], p["b"], t), t)),
+        "matmul_vv": ({"a": v4, "b": rand_tensor(rng, (4,))},
+                      lambda t, p: ad.matmul(p["a"], p["b"], t)),
         "dot": ({"a": v4, "b": rand_tensor(rng, (4,))},
                 lambda t, p: ad.dot(p["a"], p["b"], t)),
         "add_sub_mul": ({"a": v4, "b": rand_tensor(rng, (4,)), "s": s},

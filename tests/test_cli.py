@@ -163,6 +163,21 @@ def test_invalid_checkpoint_header_fails_with_diagnostic(tmp_path, capsys):
         assert stderr.count("\n") == 1
 
 
+@pytest.mark.parametrize("record", ["header", "vocabulary"])
+def test_non_utf8_checkpoint_record_fails_with_one_line(tmp_path, capsys, record):
+    corpus_path, ckpt = pipeline(tmp_path, capsys)
+    blob = bytearray(ckpt.read_bytes())
+    (n,) = struct.unpack("<I", blob[4:8])
+    blob[8 if record == "header" else 12 + n] = 0xFF
+    ckpt.write_bytes(blob)
+    code, stdout, stderr = run(capsys, "eval", "--corpus", str(corpus_path),
+                               "--ckpt", str(ckpt), "--task", "persona")
+    assert code == 1
+    assert stdout == ""
+    assert stderr.startswith("convret: corrupt checkpoint header")
+    assert stderr.count("\n") == 1
+
+
 def test_invalid_pool_size_fails_with_one_line(tmp_path, capsys):
     corpus_path, ckpt = pipeline(tmp_path, capsys)
     for size in ("1", "999"):

@@ -167,8 +167,10 @@ def _set(path, value):
     (_set((0, "text"), None), 1, "candidate text is NoneType"),
     (_set((2, "id"), 0), 3, "dialogue id is int"),
     (_set((2, "examples", 0, "turn"), 1.7), 3, "turn is float"),
+    (_set((2, "examples", 0), 7), 3, "example is int"),
+    (_set((2, "examples"), {}), 3, "examples is dict"),
 ], ids=["int-utterance-text", "list-positive", "null-candidate-text",
-        "int-dialogue-id", "fractional-turn"])
+        "int-dialogue-id", "fractional-turn", "int-example", "object-examples"])
 def test_wrongly_typed_fields_fail_with_line_number(tmp_path, capsys, mutate,
                                                      line, what):
     good, bad = tmp_path / "good.jsonl", tmp_path / "bad.jsonl"
@@ -227,6 +229,60 @@ def test_single_session_dialogue_uses_turn_pairs_as_units():
     assert [x.turn_index for x in prev] == [0, 1, 2, 3]
     assert curr == []
     assert last.turn_index == 4
+
+
+def _parts(d, turn):
+    return [[x.turn_index for x in part] for part in split_sessions(d, turn)[:2]]
+
+
+def _edge_dialogues():
+    """A single session that opens with a system turn, and a dialogue whose
+    turn indices repeat across sessions."""
+    system_first = Dialogue("sys", (Session(tuple(
+        u(Role.SYSTEM if i % 2 == 0 else Role.USER, f"w{i}", i)
+        for i in range(5))),))
+    repeated = Dialogue("rep", (
+        Session((u(Role.USER, "a", 0), u(Role.SYSTEM, "b", 1))),
+        Session((u(Role.USER, "c", 0), u(Role.SYSTEM, "d", 1),
+                 u(Role.USER, "e", 2)))))
+    return system_first, repeated
+
+
+def test_single_session_opening_with_a_system_turn():
+    d, _ = _edge_dialogues()
+    assert _parts(d, 1) == [[0], []]
+    assert _parts(d, 3) == [[0, 1, 2], []]
+    with pytest.raises(ContractError):
+        split_sessions(d, 0)
+
+
+def test_repeated_turn_index_resolves_to_its_last_row():
+    _, d = _edge_dialogues()
+    assert _parts(d, 0) == [[0, 1], []]
+    assert split_sessions(d, 0)[2].text == "c"
+    assert _parts(d, 2) == [[0, 1], [0, 1]]
+    assert [x.text for x in split_sessions(d, 2)[1]] == ["c", "d"]
+    last_is_system = Dialogue("rs", (
+        Session((u(Role.USER, "a", 0), u(Role.SYSTEM, "b", 1))),
+        Session((u(Role.SYSTEM, "c", 0), u(Role.USER, "d", 1)))))
+    with pytest.raises(ContractError, match="not a user turn"):
+        split_sessions(last_is_system, 0)
+    assert _parts(last_is_system, 1) == [[0, 1], [0]]
+
+
+def test_compiled_rows_of_edge_dialogues_match_split_sessions():
+    dialogues = _edge_dialogues()
+    pools = {t: {} for t in TaskKind}
+    pools[TaskKind.PERSONA]["c0"] = Candidate("c0", TaskKind.PERSONA, "w0")
+    exs = [RetrievalExample(d.dialogue_id, turn, TaskKind.PERSONA, "c0", ())
+           for d, turns in zip(dialogues, ((3, 1), (0, 2))) for turn in turns]
+    c = build_corpus(dialogues, pools, exs)
+    rows = c.training_inputs(c.vocab, []).examples
+    assert rows.tolist() == [[0, 3, 3], [0, 1, 1], [5, 7, 7], [5, 7, 9]]
+    turns = [x for d in dialogues for x in d.turns()]
+    for ex, (start, split, query) in zip(exs, rows):
+        assert split_sessions(c.dialogue(ex.dialogue_id), ex.query_turn_index) == (
+            turns[start:split], turns[split:query], turns[query])
 
 
 def test_split_degenerate_and_errors():
@@ -330,14 +386,18 @@ def small_cfg(**kw):
 
 
 def test_generator_config_validation():
-    with pytest.raises(ConfigError):
-        small_cfg(topics=0)
+    for name in ("topics", "common_words", "entities", "dialogues_per_task"):
+        with pytest.raises(ConfigError, match=f"{name} must be at least 1"):
+            small_cfg(**{name: 0})
     with pytest.raises(ConfigError):
         small_cfg(utterance_words=9)
     with pytest.raises(ConfigError):
         small_cfg(sessions_per_dialogue=9)  # more units than topics
-    with pytest.raises(ConfigError):
-        small_cfg(dialogues_per_task=0)
+    for wrong in (dict(topics=6.5), dict(dialogues_per_task="3"),
+                  dict(entities=True), dict(positive_coupling="no"),
+                  dict(positive_coupling=1)):
+        with pytest.raises(ConfigError, match=f"{next(iter(wrong))} is "):
+            small_cfg(**wrong)
 
 
 def test_generator_is_deterministic(tmp_path):
