@@ -10,11 +10,13 @@ per vocabulary into index arrays (``Corpus.training_inputs``).
 
 from __future__ import annotations
 
+import collections
 import contextlib
 import enum
 import hashlib
 import itertools
 import json
+import operator
 import os
 from dataclasses import dataclass, field
 
@@ -80,7 +82,7 @@ class Session:
         if not self.utterances:
             raise ContractError("session has no utterances")
         indices = [u.turn_index for u in self.utterances]
-        if any(b <= a for a, b in zip(indices, indices[1:])):
+        if not all(map(operator.lt, indices, indices[1:])):
             raise ContractError(f"turn indices not strictly increasing: {indices}")
 
 
@@ -184,23 +186,14 @@ class Corpus:
                 f"need {pool_size}")
 
 
-def _tokens(text: str) -> list[str]:
-    return text.split()
-
-
 def build_vocab(dialogues, pools) -> dict[str, int]:
     """Special tokens first, then corpus tokens by frequency, ties lexicographic."""
-    counts: dict[str, int] = {}
-    for d in dialogues:
-        for u in d.turns():
-            for tok in _tokens(u.text):
-                counts[tok] = counts.get(tok, 0) + 1
-    for pool in pools.values():
-        for c in pool.values():
-            for tok in _tokens(c.text):
-                counts[tok] = counts.get(tok, 0) + 1
+    texts = itertools.chain((u.text for d in dialogues for s in d.sessions
+                             for u in s.utterances),
+                            (c.text for pool in pools.values() for c in pool.values()))
+    counts = collections.Counter(itertools.chain.from_iterable(map(str.split, texts)))
     vocab = {tok: i for i, tok in enumerate(SPECIAL_TOKENS)}
-    for tok in sorted(counts, key=lambda t: (-counts[t], t)):
+    for tok, _ in sorted(counts.items(), key=lambda tc: (-tc[1], tc[0])):
         if tok not in vocab:
             vocab[tok] = len(vocab)
     return vocab
@@ -210,13 +203,15 @@ def build_corpus(dialogues, pools, examples) -> Corpus:
     """Assemble and cross-check a corpus; vocabulary is derived from content."""
     corpus = Corpus(list(dialogues), pools, list(examples),
                     build_vocab(dialogues, pools))
+    # a dialogue's turn map serves its run of consecutive examples
+    did, rows = None, {}
     for ex in corpus.examples:
-        d = corpus.dialogue(ex.dialogue_id)
-        turn = {u.turn_index: u for u in d.turns()}.get(ex.query_turn_index)
-        if turn is None:
+        if ex.dialogue_id != did:
+            did, rows = ex.dialogue_id, _turn_rows(corpus.dialogue(ex.dialogue_id))
+        if ex.query_turn_index not in rows:
             raise IntegrityError(
                 f"dialogue {ex.dialogue_id} has no turn {ex.query_turn_index}")
-        if turn.role is not Role.USER:
+        if rows[ex.query_turn_index] is None:
             raise IntegrityError(
                 f"query turn {ex.query_turn_index} of {ex.dialogue_id} is not a user turn")
         pool = corpus.pools[ex.task]

@@ -55,41 +55,38 @@ class GeneratorConfig:
                               f"have {self.topics}")
 
 
-def _topic_words(cfg: GeneratorConfig, topic: int) -> list[str]:
-    return [f"t{topic}w{j}" for j in range(cfg.words_per_topic)]
+def _word_table(cfg: GeneratorConfig) -> tuple[list[list[str]], list[str]]:
+    """Each topic's words, and every topic word followed by the common words."""
+    topics = [[f"t{t}w{j}" for j in range(cfg.words_per_topic)]
+              for t in range(cfg.topics)]
+    return topics, sum(topics, []) + [f"c{j}" for j in range(cfg.common_words)]
 
 
 def _draw(rng, words: list[str], n: int) -> list[str]:
     picks = rng.choice(len(words), size=min(n, len(words)), replace=False)
-    return [words[i] for i in picks]
+    return [words[i] for i in picks.tolist()]
 
 
-def _all_words(cfg: GeneratorConfig) -> list[str]:
-    words = [w for t in range(cfg.topics) for w in _topic_words(cfg, t)]
-    words += [f"c{j}" for j in range(cfg.common_words)]
-    return words
-
-
-def _utterance_text(cfg, rng, topic: int) -> str:
-    toks = _draw(rng, _topic_words(cfg, topic), cfg.utterance_words)
+def _utterance_text(cfg, rng, words: list[str]) -> str:
+    toks = _draw(rng, words, cfg.utterance_words)
     toks.append(f"c{rng.integers(cfg.common_words)}")
     return " ".join(toks)
 
 
-def _build_dialogue(cfg: GeneratorConfig, task: TaskKind, index: int, seed: int):
+def _build_dialogue(cfg: GeneratorConfig, table, task: TaskKind, index: int, seed: int):
     rng = derive_rng(seed, "dlg", task.value, index)
     single = cfg.sessions_per_dialogue == 1
     n_units = cfg.turns_per_session if single else cfg.sessions_per_dialogue
     pairs_per_unit = 1 if single else cfg.turns_per_session
+    topic_words, all_words = table
 
-    unit_topics = [int(t) for t in
-                   rng.choice(cfg.topics, size=n_units, replace=False)]
+    unit_words = [topic_words[t] for t in
+                  rng.choice(cfg.topics, size=n_units, replace=False).tolist()]
     entity = f"e{rng.integers(cfg.entities)}"
-    full_vocab = _all_words(cfg)
 
     # texts[unit][pair] = [user_text, system_text]
-    texts = [[[_utterance_text(cfg, rng, unit_topics[u]),
-               _utterance_text(cfg, rng, unit_topics[u])]
+    texts = [[[_utterance_text(cfg, rng, unit_words[u]),
+               _utterance_text(cfg, rng, unit_words[u])]
               for _ in range(pairs_per_unit)] for u in range(n_units)]
 
     did = f"{task.value}-{index}"
@@ -99,19 +96,19 @@ def _build_dialogue(cfg: GeneratorConfig, task: TaskKind, index: int, seed: int)
     for u in example_units:
         cid = f"{task.value[0]}{index}_{u}"
         if cfg.positive_coupling:
-            toks = _draw(rng, _topic_words(cfg, unit_topics[u]), cfg.utterance_words)
+            toks = _draw(rng, unit_words[u], cfg.utterance_words)
             if n_units > 1:
                 toks.append(entity)
             toks.append(f"c{rng.integers(cfg.common_words)}")
             # callback: one system slot of the previous unit restates the
             # query unit's topic together with the anchor entity
             if n_units > 1:
-                cb = _draw(rng, _topic_words(cfg, unit_topics[u]), cfg.utterance_words)
+                cb = _draw(rng, unit_words[u], cfg.utterance_words)
                 cb.append(entity)
                 pair = int(rng.integers(pairs_per_unit))
                 texts[u - 1][pair][1] = " ".join(cb)
         else:
-            toks = _draw(rng, full_vocab, cfg.utterance_words + 1)
+            toks = _draw(rng, all_words, cfg.utterance_words + 1)
         candidates.append(Candidate(cid, task, " ".join(toks)))
 
     # pair p of unit u is turns 2(u * pairs_per_unit + p) and the one after
@@ -131,9 +128,10 @@ def generate_synthetic(cfg: GeneratorConfig, seed: int) -> Corpus:
     dialogues: list[Dialogue] = []
     pools: dict[TaskKind, dict[str, Candidate]] = {t: {} for t in TaskKind}
     examples: list[RetrievalExample] = []
+    table = _word_table(cfg)
     for task in TaskKind:
         for i in range(cfg.dialogues_per_task):
-            d, cands, exs = _build_dialogue(cfg, task, i, seed)
+            d, cands, exs = _build_dialogue(cfg, table, task, i, seed)
             dialogues.append(d)
             for c in cands:
                 pools[task][c.candidate_id] = c

@@ -247,6 +247,11 @@ def load_checkpoint(path) -> Checkpoint:
                if f"{kind}.{n}" not in arrays]
     if missing:
         raise CheckpointError(f"invalid checkpoint header: no moments {missing}")
+    rows = params["embedding"].shape[:1] if "embedding" in params else None
+    if not (isinstance(tokens, list) and all(isinstance(t, str) for t in tokens)
+            and len(set(tokens)) == len(tokens) and rows == (len(tokens),)):
+        raise CheckpointError("invalid checkpoint vocabulary: not one distinct "
+                              "string per embedding row")
     return Checkpoint(
         arrays=params,
         moments_m={n: arrays[f"m.{n}"] for n in params},

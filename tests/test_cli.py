@@ -178,6 +178,30 @@ def test_non_utf8_checkpoint_record_fails_with_one_line(tmp_path, capsys, record
     assert stderr.count("\n") == 1
 
 
+@pytest.mark.parametrize("vocabulary", [
+    5, None, [[1]], {"a": 1}, [1, 2], "abc", "repeated"])
+def test_malformed_checkpoint_vocabulary_fails_with_one_line(tmp_path, capsys,
+                                                             vocabulary):
+    corpus_path, ckpt = pipeline(tmp_path, capsys)
+    blob = ckpt.read_bytes()
+    (n,) = struct.unpack("<I", blob[4:8])
+    (m,) = struct.unpack("<I", blob[8 + n:12 + n])
+    if vocabulary == "repeated":
+        # as many tokens as embedding rows, the last a copy of the first
+        tokens = json.loads(blob[12 + n:12 + n + m])
+        vocabulary = tokens[:-1] + tokens[:1]
+    payload = json.dumps(vocabulary).encode()
+    ckpt.write_bytes(blob[:8 + n] + struct.pack("<I", len(payload)) + payload
+                     + blob[12 + n + m:])
+    code, stdout, stderr = run(capsys, "eval", "--corpus", str(corpus_path),
+                               "--ckpt", str(ckpt), "--task", "persona",
+                               "--pool-size", "8")
+    assert code == 1
+    assert stdout == ""
+    assert stderr.startswith("convret: invalid checkpoint vocabulary")
+    assert stderr.count("\n") == 1
+
+
 def test_invalid_pool_size_fails_with_one_line(tmp_path, capsys):
     corpus_path, ckpt = pipeline(tmp_path, capsys)
     for size in ("1", "999"):

@@ -1,5 +1,6 @@
 """Corpus model, file round-trip, session splitting and pool sampling."""
 
+import hashlib
 import json
 
 import pytest
@@ -51,6 +52,10 @@ def test_type_invariants():
     with pytest.raises(ContractError):
         Session((u(Role.USER, "a", 1), u(Role.SYSTEM, "b", 1)))
     with pytest.raises(ContractError):
+        Session((u(Role.USER, "a", 2), u(Role.SYSTEM, "b", 1)))
+    with pytest.raises(ContractError, match=r"\[0, 2, 1\]"):
+        Session((u(Role.USER, "a", 0), u(Role.SYSTEM, "b", 2), u(Role.USER, "c", 1)))
+    with pytest.raises(ContractError):
         Dialogue("d", ())
 
 
@@ -63,6 +68,34 @@ def test_build_corpus_integrity_checks():
         make_corpus(turn=99)  # no such turn
     with pytest.raises(IntegrityError):
         make_corpus(turn=3)  # system turn
+
+
+def test_integrity_checks_of_examples_that_interleave_dialogues():
+    # d1, d2, d1: the second d1 example must not be checked against d2's turns
+    d1 = Dialogue("d1", (Session((u(Role.USER, "a", 0), u(Role.SYSTEM, "b", 1))),
+                         Session((u(Role.USER, "c", 0), u(Role.SYSTEM, "d", 1)))))
+    d2 = Dialogue("d2", (Session((u(Role.USER, "e", 0), u(Role.SYSTEM, "f", 1),
+                                  u(Role.USER, "g", 2), u(Role.SYSTEM, "h", 3))),))
+    pools = {t: {} for t in TaskKind}
+    pools[TaskKind.PERSONA]["c0"] = Candidate("c0", TaskKind.PERSONA, "w0")
+
+    def build(turn):
+        exs = [RetrievalExample(did, t, TaskKind.PERSONA, "c0", ())
+               for did, t in (("d1", 0), ("d2", 2), ("d1", turn))]
+        return build_corpus([d1, d2], pools, exs)
+
+    with pytest.raises(IntegrityError, match="d1 has no turn 2"):
+        build(2)  # a user turn of d2, not of d1
+    with pytest.raises(IntegrityError, match="query turn 1 of d1 is not a user turn"):
+        build(1)
+    build(0)
+    # a repeated turn index resolves to its last row, here a system turn
+    last_is_system = Dialogue("d1", (d1.sessions[0], Session((
+        u(Role.SYSTEM, "c", 0), u(Role.USER, "d", 1)))))
+    with pytest.raises(IntegrityError, match="not a user turn"):
+        build_corpus([last_is_system, d2], pools,
+                     [RetrievalExample("d2", 2, TaskKind.PERSONA, "c0", ()),
+                      RetrievalExample("d1", 0, TaskKind.PERSONA, "c0", ())])
 
 
 def test_vocab_special_tokens_then_frequency_then_lexicographic():
@@ -411,6 +444,35 @@ def test_generator_is_deterministic(tmp_path):
     pc = tmp_path / "c.jsonl"
     write_corpus(c, pc)
     assert pa.read_bytes() != pc.read_bytes()
+
+
+# SHA-256 of the write_corpus bytes of small corpora; they change only if
+# the generator's draws change, or numpy's Generator streams do
+GENERATED_DIGESTS = {
+    ("default", 0): "49062d13e8ce8d2d02bf374f9ad6ffbca68d99aef1689381471bfd1754e00065",
+    ("default", 7): "5798471eede86a26d2a9e1e7c7edff3d49d999e22e3e3e25a79351d02e7e1f7f",
+    ("long-history", 0): "706d7677d095ffcc8f6de4991d4f853686a586dd5c3c2b232504aaf970867c2d",
+    ("long-history", 7): "7b85f90733b7e049c32e8e1a42118004985f2d06094d4c05113f20ccd58f9ad8",
+    ("uncoupled", 0): "8c315f74b7f02bd42687801e10a0bdd280b71dec9fe1ce1e90d5cd91ab1671f9",
+    ("uncoupled", 7): "8dde98d07a49e2514860776c6a41f74ee9de8915d60e4d74d8c5d0c2e968104a",
+    ("single-session", 0): "7e226a5691a7ed9b3626fa0bd08fda04b86065bd432bf384dbebe51d19f26758",
+    ("single-session", 7): "b70fd27aeba3d8a63e5134ecb4f84ba38698d448d3a750257e311d07409571fa",
+}
+DIGEST_CONFIGS = {
+    "default": GeneratorConfig(dialogues_per_task=12),
+    "long-history": GeneratorConfig(dialogues_per_task=6, sessions_per_dialogue=8,
+                                    turns_per_session=3),
+    "uncoupled": GeneratorConfig(dialogues_per_task=12, positive_coupling=False),
+    "single-session": GeneratorConfig(dialogues_per_task=12, sessions_per_dialogue=1,
+                                      turns_per_session=4),
+}
+
+
+@pytest.mark.parametrize("name,seed", list(GENERATED_DIGESTS))
+def test_generated_corpus_bytes_are_pinned(tmp_path, name, seed):
+    path = tmp_path / "corpus.jsonl"
+    write_corpus(generate_synthetic(DIGEST_CONFIGS[name], seed), path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == GENERATED_DIGESTS[name, seed]
 
 
 def test_single_turn_dialogue_yields_one_example_without_history():
