@@ -118,14 +118,12 @@ def evaluate(corpus: Corpus, ck: Checkpoint, task: TaskKind, pool_size: int,
     Tokenization uses the checkpoint's vocabulary, so the corpus may be a
     held-out split or a different file than the training corpus.
 
-    Candidates are embedded into one matrix in the task's pool order, each
-    at most once: a call embeds the rows its sampled pools use that are not
-    there yet, and each sampled pool is a gather of the matrix's rows.
-    ``cache`` keeps that matrix, every example's context vector per mode,
-    and the sampled rows per pool size and seed, so calls that share it
-    encode nothing twice. A cache belongs to the first corpus and
-    checkpoint it is used with; passing it with any other raises
-    ContractError.
+    The task's whole pool is embedded once, in pool order, and each
+    sampled pool is a gather of its rows. ``cache`` keeps that embedded
+    pool, every example's context vector per mode, and the sampled rows
+    per pool size and seed, so calls that share it encode nothing twice.
+    A cache belongs to the first corpus and checkpoint it is used with;
+    passing it with any other raises ContractError.
     """
     mode = ck.cfg.mode if mode is None else mode
     examples = [ex for ex in corpus.examples if ex.task == task]
@@ -146,16 +144,8 @@ def evaluate(corpus: Corpus, ck: Checkpoint, task: TaskKind, pool_size: int,
     sampled = cache["rows", task, pool_size, seed]
     enc, fus = ck.views()
     if ("pool", task) not in cache:
-        cache["pool", task] = (np.zeros((len(ids), enc.dim)),
-                               np.zeros(len(ids), dtype=bool))
-    matrix, embedded = cache["pool", task]
-    missing = np.zeros(len(ids), dtype=bool)
-    missing[np.concatenate(sampled)] = True
-    missing = np.flatnonzero(missing & ~embedded)
-    if missing.size:
-        pool = corpus.pools[task]
-        matrix[missing] = embed_pool([pool[ids[i]] for i in missing], enc).matrix
-        embedded[missing] = True
+        cache["pool", task] = embed_pool(list(corpus.pools[task].values()), enc)
+    matrix = cache["pool", task].matrix
     if ("contexts", task, mode) not in cache:
         cache["contexts", task, mode] = [
             encode_context(corpus.dialogue(ex.dialogue_id), ex.query_turn_index,

@@ -84,25 +84,40 @@ def topk_indices(scores: np.ndarray, k: int) -> list[int]:
     return sorted(int(i) for i in order)
 
 
-def attend(h_query: ad.Tensor, H_hist: list[ad.Tensor],
-           tape: ad.Tape | None = None) -> ad.Tensor:
-    """Scaled dot-product attention of the query over history vectors."""
-    if not H_hist:
-        raise ContractError("attend over an empty history")
-    H = ad.stack(H_hist, tape)
-    scores = ad.scale(ad.matmul(H, h_query, tape), 1.0 / math.sqrt(h_query.shape[0]), tape)
-    return ad.matmul(ad.softmax(scores, tape), H, tape)
+def attend(h_query: ad.Tensor, H_hist: ad.Tensor | list[ad.Tensor],
+           tape: ad.Tape | None = None, mask=None) -> ad.Tensor:
+    """Scaled dot-product attention of each query over the history rows.
+
+    ``h_query`` is one query vector or a B x d matrix of query rows;
+    ``H_hist`` is an N x d matrix or a list of N vectors. A boolean
+    ``mask`` (N entries per query) restricts each query to its true
+    entries; every query needs one.
+    """
+    if isinstance(H_hist, list):
+        if not H_hist:
+            raise ContractError("attend over an empty history")
+        H_hist = ad.stack(H_hist, tape)
+    scores = ad.scale(ad.matmul(h_query, ad.transpose(H_hist, tape), tape),
+                      1.0 / math.sqrt(h_query.shape[-1]), tape)
+    return ad.matmul(ad.softmax(scores, tape, mask), H_hist, tape)
 
 
 def gate_fuse(h_hist: ad.Tensor, h_query: ad.Tensor, params: FusionParams,
               tape: ad.Tape | None = None) -> tuple[ad.Tensor, ad.Tensor]:
     """Blend history and query: lambda = sigmoid(w . [h_hist; h_query]) and
-    h = h_query + lambda (h_hist - h_query)."""
+    h = h_query + lambda (h_hist - h_query), for two vectors (lambda is a
+    scalar) or row by row for two B x d matrices (lambda is a B x 1
+    column)."""
     if h_hist.shape != h_query.shape:
         raise ContractError(f"shapes {h_hist.shape} and {h_query.shape} differ")
-    lam = ad.sigmoid(ad.dot(params.gate_w,
-                            ad.concat([h_hist, h_query], tape), tape), tape)
-    return ad.add(h_query, ad.mul(lam, ad.sub(h_hist, h_query, tape), tape), tape), lam
+    dim = h_query.shape[-1]
+    # w's halves as (d,) vectors, or as (d, 1) columns: one lambda per row
+    halves = np.arange(2 * dim).reshape((2, dim) + (1,) * (h_query.values.ndim - 1))
+    w_hist = ad.gather(params.gate_w, halves[0], tape)
+    w_query = ad.gather(params.gate_w, halves[1], tape)
+    lam = ad.sigmoid(ad.add(ad.matmul(h_hist, w_hist, tape),
+                            ad.matmul(h_query, w_query, tape), tape), tape)
+    return ad.add(h_query, ad.mul(ad.sub(h_hist, h_query, tape), lam, tape), tape), lam
 
 
 def _concat_ids(utts: list[Utterance], vocab: dict[str, int]) -> list[int]:
@@ -115,53 +130,41 @@ def _concat_ids(utts: list[Utterance], vocab: dict[str, int]) -> list[int]:
     return ids[:MAX_CANDIDATE_TOKENS]
 
 
-def _mean_of(vectors: list[ad.Tensor], tape) -> ad.Tensor:
-    if len(vectors) == 1:
-        return vectors[0]
-    n = len(vectors)
-    weights = ad.Tensor(np.full(n, 1.0 / n))
-    return ad.matmul(weights, ad.stack(vectors, tape), tape)
-
-
 def encode_context(d: Dialogue, query_turn: int, mode: ContextMode,
                    enc: EncoderParams, fusion: FusionParams,
                    tape: ad.Tape | None = None,
                    frozen_selection: list[int] | None = None) -> ad.Tensor:
     """Dialogue-level query encoding under the given context mode.
 
-    ``frozen_selection`` pins the top-K choice to the given previous-turn
-    indices; gradient checks use it because the selection itself is hard.
+    The rows are encoded once each, in ``encode_contexts``'s order:
+    previous sessions, current session, query. ``frozen_selection`` pins
+    the top-K choice to the given previous-turn indices; gradient checks
+    use it because the selection itself is hard.
     """
     prev, curr, last = split_sessions(d, query_turn)
-
     if mode.kind is ModeKind.FULL_CONCAT:
         return encode_ids(_concat_ids(prev + curr + [last], enc.vocab), enc, tape)
-
+    if mode.kind is ModeKind.NO_PREV:
+        prev = []
     pos = (lambda u: u.turn_index) if enc.position is not None else (lambda u: None)
-    h_ut = encode_utterance(last, enc, tape, position=pos(last))
-
+    rows = [encode_utterance(u, enc, tape, position=pos(u))
+            for u in prev + curr + [last]]
+    h_ut, n = rows[-1], len(prev)
     if mode.kind is ModeKind.MEAN_ALL:
-        allv = [encode_utterance(u, enc, tape, position=pos(u))
-                for u in prev + curr] + [h_ut]
-        return _mean_of(allv, tape)
-
-    h_curr = [encode_utterance(u, enc, tape, position=pos(u)) for u in curr]
-    if mode.kind is ModeKind.NO_PREV or not prev:
-        h_prev, chosen = [], []
+        weights = ad.Tensor(np.full(len(rows), 1.0 / len(rows)))
+        return ad.matmul(weights, ad.stack(rows, tape), tape)
+    if not n:
+        chosen = []
+    elif frozen_selection is None:
+        # the selection is hard: scores are read off the values
+        chosen = topk_indices(np.array([h.values for h in rows[:n]]) @ h_ut.values,
+                              mode.k)
     else:
-        h_prev = [encode_utterance(u, enc, tape, position=pos(u)) for u in prev]
-        if frozen_selection is not None:
-            chosen = list(frozen_selection)
-        else:
-            # the selection is hard: scores are read off the values
-            scores = np.array([float(np.dot(h_ut.values, h.values)) for h in h_prev])
-            chosen = topk_indices(scores, mode.k)
-    H_hist = [h_prev[i] for i in chosen] + h_curr
-    if not H_hist:
+        chosen = frozen_selection
+    hist = [rows[i] for i in chosen] + rows[n:-1]
+    if not hist:
         return h_ut
-    h_hist = attend(h_ut, H_hist, tape)
-    h_d, _ = gate_fuse(h_hist, h_ut, fusion, tape)
-    return h_d
+    return gate_fuse(attend(h_ut, hist, tape), h_ut, fusion, tape)[0]
 
 
 def encode_contexts(inputs: TrainingInputs, examples, mode: ContextMode,
@@ -176,9 +179,9 @@ def encode_contexts(inputs: TrainingInputs, examples, mode: ContextMode,
     padded B x P product; each row's top-K is a stable row-wise argsort,
     with ``topk_indices``'s tie-breaking. The chosen, current-session and
     query rows are then encoded once each on the tape, deduplicated by row.
-    Attention is a masked row-softmax over the B x N scores against them; a
-    context without history attends to its own query row alone, which
-    returns the query encoding unchanged through the gate.
+    ``attend`` runs over them with a B x N mask and ``gate_fuse`` blends
+    row by row; a context without history attends to its own query row
+    alone, which returns the query encoding unchanged through the gate.
     ``frozen_selection`` gives each context's pinned previous-turn indices.
     """
     start, split, query = inputs.examples[examples].T
@@ -210,19 +213,8 @@ def encode_contexts(inputs: TrainingInputs, examples, mode: ContextMode,
     mask[ctx, cols] = True
     lone = ~mask.any(axis=1)
     mask[lone, q_cols[lone]] = True
-    dim = enc.dim
     Q = ad.gather(U, q_cols, tape)
-    scores = ad.scale(ad.matmul(Q, ad.transpose(U, tape), tape),
-                      1.0 / math.sqrt(dim), tape)
-    H = ad.matmul(ad.softmax(scores, tape, mask), U, tape)
-    # lambda = sigmoid(w . [h_hist; h_query]); h = h_query + lambda (h_hist - h_query)
-    # (d, 1) weight columns make lambda a (B, 1) column that scales each row
-    cols = np.arange(2 * dim)[:, None]
-    w_hist = ad.gather(fusion.gate_w, cols[:dim], tape)
-    w_query = ad.gather(fusion.gate_w, cols[dim:], tape)
-    lam = ad.sigmoid(ad.add(ad.matmul(H, w_hist, tape),
-                            ad.matmul(Q, w_query, tape), tape), tape)
-    return ad.add(Q, ad.mul(ad.sub(H, Q, tape), lam, tape), tape)
+    return gate_fuse(attend(Q, U, tape, mask), Q, fusion, tape)[0]
 
 
 def _top_prev(inputs: TrainingInputs, start, split, query, k: int,

@@ -75,6 +75,8 @@ class LossConfig:
     def __post_init__(self):
         if self.gamma <= 0:
             raise ConfigError(f"gamma must be positive, got {self.gamma}")
+        if not self.use_hist and not self.use_pair:
+            raise ConfigError("at least one loss term must be enabled")
 
 
 def historical_contrastive_loss(s: BatchSimilarities,
@@ -109,8 +111,6 @@ def pairwise_similarity_loss(s: BatchSimilarities, cfg: LossConfig,
 def combined_loss(s: BatchSimilarities, cfg: LossConfig,
                   tape: ad.Tape | None = None) -> ad.Tensor:
     """Unweighted sum of the enabled losses."""
-    if not cfg.use_hist and not cfg.use_pair:
-        raise ConfigError("at least one loss term must be enabled")
     total = None
     if cfg.use_hist:
         total = historical_contrastive_loss(s, tape)

@@ -66,10 +66,9 @@ class TrainConfig:
             raise ConfigError(f"dim {self.dim} is below 1")
         if self.weight_decay < 0:
             raise ConfigError(f"weight_decay {self.weight_decay} is negative")
-        if self.gamma <= 0:
-            raise ConfigError(f"gamma must be positive, got {self.gamma}")
         if self.positions < 0:
             raise ConfigError(f"positions {self.positions} is negative")
+        self.loss_config()  # gamma and the loss terms
 
     def loss_config(self) -> LossConfig:
         return LossConfig(gamma=self.gamma, use_hist=self.use_hist,

@@ -5,8 +5,9 @@ import struct
 
 import pytest
 
+from convret import evaluation
 from convret.cli import _csv_ints, build_parser, main
-from convret.corpus import TaskKind, load_corpus
+from convret.corpus import TaskKind, derive_rng, load_corpus
 from convret.evaluation import evaluate
 from convret.training import load_checkpoint
 
@@ -134,6 +135,24 @@ def test_ablate_emits_variant_table(tmp_path, capsys):
     assert set(table["baseline"]) == {t.value for t in TaskKind}
 
 
+def test_ablate_without_a_loss_term_fails_before_training(tmp_path, capsys,
+                                                         monkeypatch):
+    corpus_path = tmp_path / "corpus.jsonl"
+    run(capsys, *GEN, "--out", str(corpus_path))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a variant trained")
+
+    monkeypatch.setattr(evaluation, "train", refuse)
+    code, stdout, stderr = run(capsys, "ablate", "--corpus", str(corpus_path),
+                               "--no-pair", "--variants", "baseline,no_hist",
+                               *TRAIN_OPTS)
+    assert code == 1
+    assert stdout == ""
+    assert stderr.startswith("convret: at least one loss term")
+    assert stderr.count("\n") == 1
+
+
 def test_missing_file_fails_with_diagnostic(tmp_path, capsys):
     code, stdout, stderr = run(capsys, "eval", "--corpus",
                                str(tmp_path / "nope.jsonl"), "--ckpt",
@@ -200,6 +219,42 @@ def test_malformed_checkpoint_vocabulary_fails_with_one_line(tmp_path, capsys,
     assert stdout == ""
     assert stderr.startswith("convret: invalid checkpoint vocabulary")
     assert stderr.count("\n") == 1
+
+
+def test_corrupted_checkpoints_exit_zero_or_one_with_one_line(tmp_path, capsys):
+    """Seeded truncations, byte flips and byte insertions of a small
+    checkpoint: each ``convret eval`` returns 0 or 1 without raising, and
+    each exit 1 prints exactly one ``convret:`` line."""
+    corpus_path, ckpt = pipeline(tmp_path, capsys)
+    blob = ckpt.read_bytes()
+    (n,) = struct.unpack("<I", blob[4:8])
+    (m,) = struct.unpack("<I", blob[8 + n:12 + n])
+    bad = tmp_path / "bad.ckpt"
+    rng = derive_rng(0, "checkpoint-corruption")
+    codes = []
+    for case in range(300):
+        # every other case aims at the records before the arrays
+        end = len(blob) if case % 2 else 12 + n + m + 64
+        at = int(rng.integers(end))
+        kind = case % 3
+        if kind == 0:
+            data = blob[:at]
+        elif kind == 1:
+            data = bytearray(blob)
+            for i in rng.integers(end, size=int(rng.integers(1, 5))):
+                data[i] ^= int(rng.integers(1, 256))
+        else:
+            data = blob[:at] + rng.bytes(int(rng.integers(1, 9))) + blob[at:]
+        bad.write_bytes(bytes(data))
+        code, stdout, stderr = run(capsys, "eval", "--corpus", str(corpus_path),
+                                   "--ckpt", str(bad), "--task", "persona",
+                                   "--pool-size", "8")
+        assert code in (0, 1), case
+        if code == 1:
+            assert stdout == "", case
+            assert stderr.startswith("convret: ") and stderr.count("\n") == 1, case
+        codes.append(code)
+    assert 0 in codes and 1 in codes
 
 
 def test_invalid_pool_size_fails_with_one_line(tmp_path, capsys):

@@ -124,7 +124,7 @@ def test_evaluate_reads_its_cache(monkeypatch):
     assert tied.mrr == pytest.approx(np.mean([1 / r for r in ranks]), abs=1e-12)
 
 
-def test_evaluate_embeds_only_the_pool_rows_it_samples():
+def test_evaluate_caches_the_whole_pool_embedded_in_pool_order():
     corpus = small_corpus()
     two = build_corpus(corpus.dialogues, corpus.pools,
                        [ex for ex in corpus.examples
@@ -132,15 +132,15 @@ def test_evaluate_embeds_only_the_pool_rows_it_samples():
     ck = initial_checkpoint(corpus, TrainConfig(seed=3))
     cache = {}
     evaluate(two, ck, TaskKind.PERSONA, 4, seed=5, cache=cache)
-    matrix, embedded = cache["pool", TaskKind.PERSONA]
-    used = np.unique(np.concatenate(cache["rows", TaskKind.PERSONA, 4, 5]))
-    assert np.flatnonzero(embedded).tolist() == used.tolist()
-    assert len(used) <= 8 < len(corpus.pools[TaskKind.PERSONA])
-    ids, _ = two.pool_order(TaskKind.PERSONA)
+    cached = cache["pool", TaskKind.PERSONA]
+    # two queries at pool 4 sample at most 8 rows, yet the whole pool is embedded
+    assert len(np.unique(np.concatenate(cache["rows", TaskKind.PERSONA, 4, 5]))) \
+        <= 8 < cached.size
     enc, _ = ck.views()
-    for i in used:
-        cand = corpus.pools[TaskKind.PERSONA][ids[i]]
-        assert np.array_equal(matrix[i], encode_candidate(cand, enc).values)
+    ids, _ = two.pool_order(TaskKind.PERSONA)
+    want = embed_pool([corpus.pools[TaskKind.PERSONA][cid] for cid in ids], enc)
+    assert cached.candidate_ids == want.candidate_ids == ids
+    assert np.array_equal(cached.matrix, want.matrix)
 
 
 def test_evaluate_checks_pool_size_and_cache_owner_before_encoding(monkeypatch):
@@ -309,7 +309,7 @@ def test_sweeps_encode_each_candidate_and_context_once(monkeypatch):
             calls.clear()
             run()
             assert max(calls.values()) == 1
-            assert {k[2] for k in calls if k[0] == "candidate"} <= set(
+            assert {k[2] for k in calls if k[0] == "candidate"} == set(
                 corpus.pools[task])
             assert {k[1:] for k in calls if k[0] == "context"} == {
                 (ex.dialogue_id, ex.query_turn_index, mode)

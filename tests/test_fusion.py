@@ -95,6 +95,38 @@ def test_attend_matches_direct_formula_oracle():
         attend(q, [])
 
 
+def _sum(t, tape):
+    """The sum of a matrix's entries, as a scalar on the tape."""
+    return ad.matmul(ad.matmul(ad.Tensor(np.ones(t.shape[0])), t, tape),
+                     ad.Tensor(np.ones(t.shape[1])), tape)
+
+
+def test_attend_with_query_rows_and_a_mask_matches_rows_and_gradients():
+    # as in encode_contexts: the queries are rows of the attended matrix,
+    # and the last query keeps only its own row
+    rng = np.random.default_rng(43)
+    n, d = 6, 4
+    q_cols = np.array([5, 1, 3, 2])
+    mask = rng.random((q_cols.size, n)) < 0.5
+    mask[np.arange(q_cols.size), q_cols] = True
+    mask[-1] = np.arange(n) == q_cols[-1]
+    params = {"U": ad.Tensor(rng.normal(size=(n, d)), requires_grad=True)}
+    probe = ad.Tensor(rng.normal(size=(q_cols.size, d)))
+
+    def f(p):
+        tape = ad.Tape()
+        out = attend(ad.gather(p["U"], q_cols, tape), p["U"], tape, mask)
+        return tape, _sum(ad.mul(out, probe, tape), tape)
+
+    assert ad.grad_check(f, params, eps=1e-5) < 1e-6
+    U = params["U"].values
+    got = attend(ad.Tensor(U[q_cols]), params["U"], mask=mask).values
+    for i, keep in enumerate(mask):
+        want = attend(ad.Tensor(U[q_cols[i]]), [ad.Tensor(h) for h in U[keep]])
+        np.testing.assert_allclose(got[i], want.values, rtol=0, atol=1e-12)
+    np.testing.assert_array_equal(got[-1], U[q_cols[-1]])
+
+
 # ---------------------------------------------------------------------------
 # gate
 # ---------------------------------------------------------------------------
@@ -132,6 +164,32 @@ def test_gate_matches_direct_formula_and_stays_on_segment():
         lo = np.minimum(a.values, b.values) - 1e-12
         hi = np.maximum(a.values, b.values) + 1e-12
         assert np.all(h_d.values >= lo) and np.all(h_d.values <= hi)
+
+
+def test_gate_on_matrices_blends_row_by_row_and_passes_gradient_check():
+    rng = np.random.default_rng(47)
+    b, d = 4, 3
+    params = {"hh": ad.Tensor(rng.normal(size=(b, d)), requires_grad=True),
+              "hq": ad.Tensor(rng.normal(size=(b, d)), requires_grad=True),
+              "w": ad.Tensor(rng.normal(size=2 * d), requires_grad=True)}
+    probe = ad.Tensor(rng.normal(size=(b, d)))
+
+    def f(p):
+        tape = ad.Tape()
+        h_d, lam = gate_fuse(p["hh"], p["hq"], FusionParams(p["w"]), tape)
+        return tape, ad.add(_sum(ad.mul(h_d, probe, tape), tape),
+                            _sum(lam, tape), tape)
+
+    assert ad.grad_check(f, params, eps=1e-5) < 1e-6
+    fus = FusionParams(params["w"])
+    h_d, lam = gate_fuse(params["hh"], params["hq"], fus)
+    assert lam.shape == (b, 1)
+    for i in range(b):
+        want_h, want_lam = gate_fuse(ad.Tensor(params["hh"].values[i]),
+                                     ad.Tensor(params["hq"].values[i]), fus)
+        assert want_lam.shape == ()
+        np.testing.assert_allclose(h_d.values[i], want_h.values, rtol=0, atol=1e-12)
+        assert abs(lam.values[i, 0] - want_lam.item()) <= 1e-12
 
 
 # ---------------------------------------------------------------------------

@@ -91,8 +91,8 @@ def test_combined_is_sum_and_flags_work():
     assert abs(combined_loss(s, LossConfig()).item() - (h + p)) < 1e-12
     assert combined_loss(s, LossConfig(use_pair=False)).item() == h
     assert combined_loss(s, LossConfig(use_hist=False)).item() == p
-    with pytest.raises(ConfigError):
-        combined_loss(s, LossConfig(use_hist=False, use_pair=False))
+    with pytest.raises(ConfigError, match="loss term"):
+        LossConfig(use_hist=False, use_pair=False)
     with pytest.raises(ConfigError):
         LossConfig(gamma=0.0)
 

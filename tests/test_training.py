@@ -114,6 +114,8 @@ def test_config_validation():
         tiny_train_cfg(gamma=-1.0)
     with pytest.raises(ConfigError, match="positions"):
         tiny_train_cfg(positions=-1)
+    with pytest.raises(ConfigError, match="loss term"):
+        tiny_train_cfg(use_hist=False, use_pair=False)
 
 
 # ---------------------------------------------------------------------------
