@@ -61,7 +61,7 @@ TASK_TOKEN = {TaskKind.PERSONA: PERSONA_ID, TaskKind.KNOWLEDGE: KNOWLEDGE_ID,
               TaskKind.RESPONSE: RESPONSE_ID}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Utterance:
     role: Role
     text: str
@@ -74,7 +74,7 @@ class Utterance:
             raise ContractError(f"negative turn index {self.turn_index}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Session:
     utterances: tuple[Utterance, ...]
 
@@ -86,7 +86,7 @@ class Session:
             raise ContractError(f"turn indices not strictly increasing: {indices}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Dialogue:
     dialogue_id: str
     sessions: tuple[Session, ...]
@@ -99,14 +99,14 @@ class Dialogue:
         return [u for s in self.sessions for u in s.utterances]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Candidate:
     candidate_id: str
     task: TaskKind
     text: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RetrievalExample:
     dialogue_id: str
     query_turn_index: int

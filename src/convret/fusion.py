@@ -23,7 +23,7 @@ from .corpus import (CLS_ID, MAX_CANDIDATE_TOKENS, MAX_UTTERANCE_TOKENS,
                      ROLE_TOKEN, Dialogue, TrainingInputs, Utterance,
                      concat_ranges, derive_rng, split_sessions)
 from .encoder import (EncoderParams, encode_batch, encode_ids,
-                      encode_utterance, tokenize)
+                      encode_utterance, tokenize, utterance_ids)
 from .errors import ConfigError, ContractError
 
 
@@ -136,35 +136,40 @@ def encode_context(d: Dialogue, query_turn: int, mode: ContextMode,
                    frozen_selection: list[int] | None = None) -> ad.Tensor:
     """Dialogue-level query encoding under the given context mode.
 
-    The rows are encoded once each, in ``encode_contexts``'s order:
-    previous sessions, current session, query. ``frozen_selection`` pins
-    the top-K choice to the given previous-turn indices; gradient checks
-    use it because the selection itself is hard.
+    The query is encoded alone; the history rows (previous sessions, then
+    the current session) as one N x d matrix through ``encode_batch``.
+    ``frozen_selection`` pins the top-K choice to the given previous-turn
+    indices; gradient checks use it because the selection itself is hard.
     """
     prev, curr, last = split_sessions(d, query_turn)
     if mode.kind is ModeKind.FULL_CONCAT:
         return encode_ids(_concat_ids(prev + curr + [last], enc.vocab), enc, tape)
     if mode.kind is ModeKind.NO_PREV:
         prev = []
-    pos = (lambda u: u.turn_index) if enc.position is not None else (lambda u: None)
-    rows = [encode_utterance(u, enc, tape, position=pos(u))
-            for u in prev + curr + [last]]
-    h_ut, n = rows[-1], len(prev)
+    h_ut = encode_utterance(last, enc, tape, position=last.turn_index)
+    hist = prev + curr
+    if not hist:
+        return h_ut
+    seqs = [utterance_ids(u, enc.vocab) for u in hist]
+    H = encode_batch(list(itertools.chain.from_iterable(seqs)),
+                     np.cumsum([0, *map(len, seqs)]), enc, tape,
+                     [u.turn_index for u in hist])
+    n, m = len(prev), len(hist) + 1
     if mode.kind is ModeKind.MEAN_ALL:
-        weights = ad.Tensor(np.full(len(rows), 1.0 / len(rows)))
-        return ad.matmul(weights, ad.stack(rows, tape), tape)
+        every = ad.reshape(ad.concat([H, h_ut], tape), (m, enc.dim), tape)
+        return ad.matmul(ad.Tensor(np.full(m, 1.0 / m)), every, tape)
     if not n:
         chosen = []
     elif frozen_selection is None:
         # the selection is hard: scores are read off the values
-        chosen = topk_indices(np.array([h.values for h in rows[:n]]) @ h_ut.values,
-                              mode.k)
+        chosen = topk_indices(H.values[:n] @ h_ut.values, mode.k)
     else:
         chosen = frozen_selection
-    hist = [rows[i] for i in chosen] + rows[n:-1]
-    if not hist:
+    rows = [*chosen, *range(n, len(hist))]
+    if not rows:
         return h_ut
-    return gate_fuse(attend(h_ut, hist, tape), h_ut, fusion, tape)[0]
+    return gate_fuse(attend(h_ut, ad.gather(H, rows, tape), tape), h_ut,
+                     fusion, tape)[0]
 
 
 def encode_contexts(inputs: TrainingInputs, examples, mode: ContextMode,

@@ -4,19 +4,21 @@ Determinism is the organizing principle: the shuffle and the easy negatives
 of each task and epoch come from a generator derived from (seed, tags), not
 from RNG state carried across epochs, so a resumed run replays the exact
 remaining schedule and reproduces an uninterrupted run bit for bit.
-Checkpoints are a versioned binary format (magic "UCR1") holding the
+Checkpoints are a versioned binary format (magic "UCR2") holding the
 config, the vocabulary, and all parameter and optimizer-moment arrays as
-little-endian float64 in a declared order.
+little-endian float64 in a declared order, followed by the SHA-256 of every
+byte before it, which loading checks before it parses anything.
 """
 
 from __future__ import annotations
 
 import copy
 import enum
+import hashlib
+import io
 import itertools
 import json
 import math
-import os
 import struct
 from dataclasses import dataclass, field, replace
 
@@ -31,7 +33,8 @@ from .fusion import (ContextMode, FusionParams, ModeKind, encode_contexts,
                      init_fusion_params)
 from .losses import LossConfig, batch_similarities, combined_loss
 
-CHECKPOINT_MAGIC = b"UCR1"
+CHECKPOINT_MAGIC = b"UCR2"
+CHECKSUM_BYTES = 32  # SHA-256 of every byte before it, at the end of the file
 
 
 class Schedule(enum.Enum):
@@ -165,9 +168,8 @@ def param_views(params: dict[str, ad.Tensor],
             FusionParams(params["gate_w"]))
 
 
-def _write_record(fh, payload: bytes) -> None:
-    fh.write(struct.pack("<I", len(payload)))
-    fh.write(payload)
+def _record(payload: bytes) -> bytes:
+    return struct.pack("<I", len(payload)) + payload
 
 
 def _read_exact(fh, n: int) -> bytes:
@@ -192,26 +194,31 @@ def save_checkpoint(ck: Checkpoint, path) -> None:
     if ids != list(range(len(ck.vocab))):
         raise CheckpointError("vocabulary ids are not contiguous")
     tokens = sorted(ck.vocab, key=ck.vocab.get)
+    records = [json.dumps(header, sort_keys=True, separators=(",", ":")).encode(),
+               json.dumps(tokens, ensure_ascii=False, separators=(",", ":")).encode()]
+    arrays = (np.ascontiguousarray(group[n], dtype="<f8").tobytes()
+              for group in (ck.arrays, ck.moments_m, ck.moments_v) for n in order)
+    digest = hashlib.sha256()
     with replace_on_success(path, "wb") as fh:
-        fh.write(CHECKPOINT_MAGIC)
-        _write_record(fh, json.dumps(header, sort_keys=True,
-                                     separators=(",", ":")).encode())
-        _write_record(fh, json.dumps(tokens, ensure_ascii=False,
-                                     separators=(",", ":")).encode())
-        for n in order:
-            fh.write(np.ascontiguousarray(ck.arrays[n], dtype="<f8").tobytes())
-        for n in order:
-            fh.write(np.ascontiguousarray(ck.moments_m[n], dtype="<f8").tobytes())
-        for n in order:
-            fh.write(np.ascontiguousarray(ck.moments_v[n], dtype="<f8").tobytes())
+        for part in itertools.chain([CHECKPOINT_MAGIC], map(_record, records), arrays):
+            digest.update(part)
+            fh.write(part)
+        fh.write(digest.digest())
 
 
 def load_checkpoint(path) -> Checkpoint:
     with open(path, "rb") as fh:
-        magic = _read_exact(fh, 4)
-        if magic != CHECKPOINT_MAGIC:
-            raise CheckpointError(
-                f"incompatible checkpoint version or format: magic {magic!r}")
+        blob = fh.read()
+    if len(blob) < len(CHECKPOINT_MAGIC) + CHECKSUM_BYTES:
+        raise CheckpointError("truncated checkpoint file")
+    magic, end = blob[:len(CHECKPOINT_MAGIC)], len(blob) - CHECKSUM_BYTES
+    if magic != CHECKPOINT_MAGIC:
+        raise CheckpointError(
+            f"incompatible checkpoint version or format: magic {magic!r}")
+    if hashlib.sha256(memoryview(blob)[:end]).digest() != blob[end:]:
+        raise CheckpointError("corrupt checkpoint file: SHA-256 checksum mismatch")
+    with io.BytesIO(blob) as fh:
+        fh.seek(len(magic))
         try:
             header = json.loads(_read_record(fh))
             tokens = json.loads(_read_record(fh))
@@ -228,7 +235,7 @@ def load_checkpoint(path) -> Checkpoint:
             raise CheckpointError(
                 f"invalid checkpoint header: {type(exc).__name__}: {exc}") from exc
         # every declared size must fit the bytes left before any is read
-        left = os.fstat(fh.fileno()).st_size - fh.tell()
+        left = end - fh.tell()
         for name, shape in declared:
             if not all(0 <= n <= left for n in shape):
                 raise CheckpointError(

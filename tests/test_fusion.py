@@ -1,17 +1,20 @@
 """Top-K selection, attention, gating and whole-dialogue context encoding."""
 
+import itertools
 import math
 
 import numpy as np
 import pytest
 
 import convret.autodiff as ad
-from convret.corpus import Dialogue, Role, Session, SPECIAL_TOKENS, Utterance
-from convret.encoder import encode_utterance, init_encoder_params
+from convret.corpus import (Dialogue, Role, Session, SPECIAL_TOKENS, Utterance,
+                            derive_rng, split_sessions)
+from convret.encoder import encode_ids, encode_utterance, init_encoder_params
 from convret.errors import ConfigError, ContractError
-from convret.fusion import (ContextMode, FusionParams, ModeKind, attend,
-                            encode_context, gate_fuse, init_fusion_params,
-                            topk_indices)
+from convret.fusion import (ContextMode, FusionParams, ModeKind, _concat_ids,
+                            attend, encode_context, gate_fuse,
+                            init_fusion_params, topk_indices)
+from convret.generator import GeneratorConfig, generate_synthetic
 from convret.training import param_views
 
 
@@ -322,3 +325,87 @@ def test_full_pipeline_gradient_check_with_frozen_selection():
     # the frozen path reproduces the live selection at the same params
     got = encode_context(d, 6, mode, enc, fus, frozen_selection=frozen)
     np.testing.assert_array_equal(got.values, h_pure.values)
+
+
+# ---------------------------------------------------------------------------
+# encode_context against the per-row reference
+# ---------------------------------------------------------------------------
+
+def _per_row_context(d, query_turn, mode, enc, fusion, tape=None,
+                     frozen_selection=None):
+    """The reference: every row, the query included, through its own
+    ``encode_utterance`` call, and the previous rows re-stacked to score."""
+    prev, curr, last = split_sessions(d, query_turn)
+    if mode.kind is ModeKind.FULL_CONCAT:
+        return encode_ids(_concat_ids(prev + curr + [last], enc.vocab), enc, tape)
+    if mode.kind is ModeKind.NO_PREV:
+        prev = []
+    pos = (lambda u: u.turn_index) if enc.position is not None else (lambda u: None)
+    rows = [encode_utterance(u, enc, tape, position=pos(u))
+            for u in prev + curr + [last]]
+    h_ut, n = rows[-1], len(prev)
+    if mode.kind is ModeKind.MEAN_ALL:
+        weights = ad.Tensor(np.full(len(rows), 1.0 / len(rows)))
+        return ad.matmul(weights, ad.stack(rows, tape), tape)
+    if not n:
+        chosen = []
+    elif frozen_selection is None:
+        chosen = topk_indices(np.array([h.values for h in rows[:n]]) @ h_ut.values,
+                              mode.k)
+    else:
+        chosen = frozen_selection
+    hist = [rows[i] for i in chosen] + rows[n:-1]
+    if not hist:
+        return h_ut
+    return gate_fuse(attend(h_ut, hist, tape), h_ut, fusion, tape)[0]
+
+
+SMALL = dict(topics=6, dialogues_per_task=12, words_per_topic=8,
+             common_words=6, entities=6, utterance_words=4)
+CORPORA = {
+    "multi_session": GeneratorConfig(sessions_per_dialogue=3, turns_per_session=2,
+                                     **SMALL),
+    "single_session": GeneratorConfig(sessions_per_dialogue=1, turns_per_session=4,
+                                      **SMALL),
+}
+EQUIVALENCE_MODES = [ContextMode.adaptive(2), ContextMode.no_prev(),
+                     ContextMode.mean_all(), ContextMode.full_concat()]
+
+
+@pytest.mark.parametrize("positions", [0, 4])
+@pytest.mark.parametrize("name", CORPORA)
+def test_encode_context_matches_the_per_row_reference(name, positions):
+    corpus = generate_synthetic(CORPORA[name], seed=5)
+    enc = init_encoder_params(corpus.vocab, d=6, seed=2, positions=positions)
+    rng = derive_rng(2, "spread")
+    # spread the small initialization so the selection and gate carry weight
+    params = {k: ad.Tensor(t.values * rng.uniform(5.0, 15.0), requires_grad=True)
+              for k, t in {**enc.tensors(), **init_fusion_params(6, 2).tensors()}.items()}
+    probe = ad.Tensor(rng.normal(size=6))
+    ep, fp = param_views(params, corpus.vocab)
+    histories = set()
+    # every user turn of a few dialogues, not only the examples' query turns
+    for d in corpus.dialogues[::6]:
+        for turn in (u.turn_index for u in d.turns() if u.role is Role.USER):
+            prev, curr, _ = split_sessions(d, turn)
+            histories.add((len(prev) > 0, len(curr) > 0))
+            frozen = sorted(int(i) for i in rng.choice(
+                len(prev), size=min(2, len(prev)), replace=False))
+            for mode, selection in itertools.product(EQUIVALENCE_MODES,
+                                                     (None, frozen)):
+                got, want = [], []
+                for fn, out in ((encode_context, got), (_per_row_context, want)):
+                    tape = ad.Tape()
+                    h = fn(d, turn, mode, ep, fp, tape, frozen_selection=selection)
+                    out.append(h.values)
+                    out.append(ad.gradients(tape, ad.dot(h, probe, tape), params))
+                np.testing.assert_allclose(got[0], want[0], rtol=0, atol=1e-12)
+                for k in params:
+                    np.testing.assert_allclose(got[1][k], want[1][k], rtol=0,
+                                               atol=1e-12, err_msg=k)
+    # a single-session dialogue splits into turn pairs, so its current
+    # session is always empty
+    shapes = {(False, False), (True, False)}
+    if name == "multi_session":
+        shapes |= {(False, True), (True, True)}
+    assert histories == shapes

@@ -1,6 +1,7 @@
 """Optimizer, training loop, and checkpoint round-trip behavior."""
 
 import copy
+import hashlib
 import itertools
 import json
 import struct
@@ -329,14 +330,19 @@ def test_checkpoint_corruption_and_version_errors(tmp_path):
     bad.write_bytes(b"XXXX" + blob[4:])
     with pytest.raises(CheckpointError, match="magic"):
         load_checkpoint(bad)
-    trunc = tmp_path / "trunc.ckpt"
-    trunc.write_bytes(blob[:len(blob) - 9])
-    with pytest.raises(CheckpointError, match="truncated"):
-        load_checkpoint(trunc)
-    extra = tmp_path / "extra.ckpt"
-    extra.write_bytes(blob + b"\x00")
-    with pytest.raises(CheckpointError, match="trailing"):
-        load_checkpoint(extra)
+    old = tmp_path / "old.ckpt"
+    old.write_bytes(b"UCR1" + blob[4:])
+    with pytest.raises(CheckpointError, match="incompatible checkpoint version"):
+        load_checkpoint(old)
+    for name, data, message in [
+            ("short", blob[:35], "truncated"),
+            ("unsigned", blob[:-9], "checksum"),
+            ("flipped", blob[:-1] + bytes([blob[-1] ^ 1]), "checksum"),
+            ("trunc", resign(blob, lambda body: body[:-9]), "truncated"),
+            ("extra", resign(blob, lambda body: body + b"\x00"), "trailing")]:
+        (tmp_path / name).write_bytes(data)
+        with pytest.raises(CheckpointError, match=message):
+            load_checkpoint(tmp_path / name)
     for edit in (_drop_step, _negative_step, _fractional_step, _bogus_mode,
                  _fractional_k):
         broken = tmp_path / f"{edit.__name__}.ckpt"
@@ -350,39 +356,49 @@ def test_impossible_array_shapes_are_rejected_before_reading(tmp_path, shape):
     corpus = tiny_corpus(dialogues=3)
     p = tmp_path / "model.ckpt"
     save_checkpoint(initial_checkpoint(corpus, tiny_train_cfg()), p)
-    p.write_bytes(_edit_header(p.read_bytes(),
+    p.write_bytes(edit_header(p.read_bytes(),
                                lambda h: h["arrays"][0].__setitem__(1, shape)))
     with pytest.raises(CheckpointError, match="header"):
         load_checkpoint(p)
 
 
-def _edit_header(blob: bytes, edit) -> bytes:
+def resign(blob: bytes, edit) -> bytes:
+    """A checkpoint whose bytes before the SHA-256 trailer are
+    ``edit(bytearray)``'s result, signed again, so that loading gets past
+    the checksum to what the edit broke."""
+    body = bytes(edit(bytearray(blob[:-32])))
+    return body + hashlib.sha256(body).digest()
+
+
+def edit_header(blob: bytes, edit) -> bytes:
     """Rewrite a checkpoint's JSON header record, keeping the rest."""
-    (n,) = struct.unpack("<I", blob[4:8])
-    header = json.loads(blob[8:8 + n])
-    edit(header)
-    payload = json.dumps(header).encode()
-    return blob[:4] + struct.pack("<I", len(payload)) + payload + blob[8 + n:]
+    def rewrite(body):
+        (n,) = struct.unpack("<I", body[4:8])
+        header = json.loads(body[8:8 + n])
+        edit(header)
+        payload = json.dumps(header).encode()
+        return body[:4] + struct.pack("<I", len(payload)) + payload + body[8 + n:]
+    return resign(blob, rewrite)
 
 
 def _drop_step(blob: bytes) -> bytes:
-    return _edit_header(blob, lambda h: h.pop("step"))
+    return edit_header(blob, lambda h: h.pop("step"))
 
 
 def _negative_step(blob: bytes) -> bytes:
-    return _edit_header(blob, lambda h: h.update(step=-3))
+    return edit_header(blob, lambda h: h.update(step=-3))
 
 
 def _fractional_step(blob: bytes) -> bytes:
-    return _edit_header(blob, lambda h: h.update(step=1.7))
+    return edit_header(blob, lambda h: h.update(step=1.7))
 
 
 def _bogus_mode(blob: bytes) -> bytes:
-    return _edit_header(blob, lambda h: h["config"]["mode"].update(kind="bogus"))
+    return edit_header(blob, lambda h: h["config"]["mode"].update(kind="bogus"))
 
 
 def _fractional_k(blob: bytes) -> bytes:
-    return _edit_header(blob, lambda h: h["config"]["mode"].update(k=2.5))
+    return edit_header(blob, lambda h: h["config"]["mode"].update(k=2.5))
 
 
 def _break_corpus(corpus, ck):
