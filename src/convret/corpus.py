@@ -3,13 +3,15 @@
 A corpus couples dialogues (ordered sessions of user/system utterances) with
 three global candidate pools, one per retrieval task, and a list of
 retrieval examples binding a user turn to its positive candidate and the
-candidates selected at earlier turns. Corpora are immutable after load and
-all sampling takes an explicit seed. Training reads a corpus compiled once
-per vocabulary into index arrays (``Corpus.training_inputs``).
+candidates selected at earlier turns. Corpora are checked when constructed,
+immutable after load, and all sampling takes an explicit seed. Texts become
+ids through ``tokenize`` alone; training reads a corpus compiled once per
+vocabulary into index arrays (``Corpus.training_inputs``).
 """
 
 from __future__ import annotations
 
+import array
 import collections
 import contextlib
 import enum
@@ -59,6 +61,13 @@ MAX_CANDIDATE_TOKENS = 512
 ROLE_TOKEN = {Role.USER: USR_ID, Role.SYSTEM: SYS_ID}
 TASK_TOKEN = {TaskKind.PERSONA: PERSONA_ID, TaskKind.KNOWLEDGE: KNOWLEDGE_ID,
               TaskKind.RESPONSE: RESPONSE_ID}
+
+
+def tokenize(text: str, vocab: dict[str, int], max_len: int) -> list[int]:
+    """Whitespace split, vocabulary lookup with UNK fallback, truncation."""
+    if max_len < 1:
+        raise ContractError(f"max_len {max_len} is below 1")
+    return [vocab.get(tok, UNK_ID) for tok in text.split()[:max_len]]
 
 
 @dataclass(frozen=True, slots=True)
@@ -117,6 +126,11 @@ class RetrievalExample:
 
 @dataclass
 class Corpus:
+    """Dialogues, candidate pools, the examples over them and their vocabulary.
+    Every corpus is checked when it is constructed, else IntegrityError:
+    dialogue ids are distinct, and each example names a known dialogue, one
+    of its user turns and candidates of its task's pool. The check records
+    each example's ``TrainingInputs.examples`` row."""
     dialogues: list[Dialogue]
     pools: dict[TaskKind, dict[str, Candidate]]
     examples: list[RetrievalExample]
@@ -128,16 +142,40 @@ class Corpus:
     _orders: dict[TaskKind, tuple[list[str], dict[str, int]]] = field(
         init=False, repr=False, compare=False)
     _inputs: TrainingInputs | None = field(init=False, repr=False, compare=False)
+    _example_rows: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.pool_reads = {t: 0 for t in TaskKind}
         self._orders = {}
         self._inputs = None
-        self._by_id = {}
+        self._by_id, first_row, row = {}, {}, 0
         for d in self.dialogues:
             if d.dialogue_id in self._by_id:
                 raise IntegrityError(f"duplicate dialogue id {d.dialogue_id}")
             self._by_id[d.dialogue_id] = d
+            first_row[d.dialogue_id] = row
+            row += sum(len(s.utterances) for s in d.sessions)
+        # a dialogue's turn map serves its run of consecutive examples
+        did, example_rows = None, array.array("i")
+        for ex in self.examples:
+            if ex.dialogue_id != did:
+                did, rows = ex.dialogue_id, _turn_rows(self.dialogue(ex.dialogue_id))
+                start = first_row[did]
+            if ex.query_turn_index not in rows:
+                raise IntegrityError(
+                    f"dialogue {ex.dialogue_id} has no turn {ex.query_turn_index}")
+            at = rows[ex.query_turn_index]
+            if at is None:
+                raise IntegrityError(
+                    f"query turn {ex.query_turn_index} of {ex.dialogue_id} is not a user turn")
+            pool = self.pools[ex.task]
+            if ex.positive_id not in pool:
+                raise IntegrityError(f"dangling positive candidate id {ex.positive_id}")
+            for hid in ex.historical_ids:
+                if hid not in pool:
+                    raise IntegrityError(f"dangling historical candidate id {hid}")
+            example_rows.extend((start, start + at[0], start + at[1]))
+        self._example_rows = np.array(example_rows, np.int32).reshape(-1, 3)
 
     def dialogue(self, dialogue_id: str) -> Dialogue:
         d = self._by_id.get(dialogue_id)
@@ -172,8 +210,8 @@ class Corpus:
             if task not in inputs.candidates:
                 ids, _ = self.pool_order(task)
                 inputs.candidates[task] = _token_rows(
-                    [self.candidate(task, cid).text for cid in ids],
-                    TASK_TOKEN[task], inputs.vocab, MAX_CANDIDATE_TOKENS)
+                    ((TASK_TOKEN[task], self.candidate(task, cid).text) for cid in ids),
+                    inputs.vocab, MAX_CANDIDATE_TOKENS)
         return inputs
 
     def check_pool_size(self, task: TaskKind, pool_size: int) -> None:
@@ -200,27 +238,9 @@ def build_vocab(dialogues, pools) -> dict[str, int]:
 
 
 def build_corpus(dialogues, pools, examples) -> Corpus:
-    """Assemble and cross-check a corpus; vocabulary is derived from content."""
-    corpus = Corpus(list(dialogues), pools, list(examples),
-                    build_vocab(dialogues, pools))
-    # a dialogue's turn map serves its run of consecutive examples
-    did, rows = None, {}
-    for ex in corpus.examples:
-        if ex.dialogue_id != did:
-            did, rows = ex.dialogue_id, _turn_rows(corpus.dialogue(ex.dialogue_id))
-        if ex.query_turn_index not in rows:
-            raise IntegrityError(
-                f"dialogue {ex.dialogue_id} has no turn {ex.query_turn_index}")
-        if rows[ex.query_turn_index] is None:
-            raise IntegrityError(
-                f"query turn {ex.query_turn_index} of {ex.dialogue_id} is not a user turn")
-        pool = corpus.pools[ex.task]
-        if ex.positive_id not in pool:
-            raise IntegrityError(f"dangling positive candidate id {ex.positive_id}")
-        for hid in ex.historical_ids:
-            if hid not in pool:
-                raise IntegrityError(f"dangling historical candidate id {hid}")
-    return corpus
+    """A corpus whose vocabulary is derived from its content."""
+    return Corpus(list(dialogues), pools, list(examples),
+                  build_vocab(dialogues, pools))
 
 
 # ---------------------------------------------------------------------------
@@ -445,57 +465,28 @@ def _with_cls(tokens: np.ndarray, lo, hi) -> tuple[np.ndarray, np.ndarray]:
                      offsets[:-1] - np.arange(lo.size), CLS_ID), offsets
 
 
-def _token_rows(texts: list[str], lead, vocab: dict[str, int],
+def _token_rows(rows, vocab: dict[str, int],
                 max_len: int) -> tuple[np.ndarray, np.ndarray]:
-    """Each text's lead token and first ``max_len`` word ids (UNK for an
-    unknown word), as flat int32 tokens and offsets."""
-    lens = np.fromiter(map(len, map(str.split, texts)), np.intp, len(texts))
-    words = np.fromiter(
-        map(vocab.get, itertools.chain.from_iterable(map(str.split, texts)),
-            itertools.repeat(UNK_ID)), np.int32, lens.sum())
-    if lens.max(initial=0) > max_len:
-        words = words[concat_ranges(0 * lens, lens)[1] < max_len]
-        lens = np.minimum(lens, max_len)
-    offsets = np.append(0, np.cumsum(lens + 1)).astype(np.int32)
-    is_lead = np.zeros(offsets[-1], bool)
-    is_lead[offsets[:-1]] = True
-    tokens = np.empty(offsets[-1], np.int32)
-    tokens[offsets[:-1]] = lead
-    tokens[~is_lead] = words
-    return tokens, offsets
+    """For each (lead, text) row, the lead token and the text's ``tokenize``
+    ids, as flat int32 tokens and offsets."""
+    tokens, offsets = array.array("i"), array.array("i", [0])
+    for lead, text in rows:
+        tokens.extend([lead, *tokenize(text, vocab, max_len)])
+        offsets.append(len(tokens))
+    return np.array(tokens, np.int32), np.array(offsets, np.int32)
 
 
 def _compile_utterances(corpus: Corpus, vocab: dict[str, int]) -> TrainingInputs:
-    """Every utterance's tokens, every example's rows and targets; no candidates."""
-    exs = corpus.examples
-    wanted: dict[str, list[int]] = {}
-    for e, ex in enumerate(exs):
-        wanted.setdefault(ex.dialogue_id, []).append(e)
-    utts: list[Utterance] = []
-    examples: list[tuple[int, int, int] | None] = [None] * len(exs)
-    for d in corpus.dialogues:
-        first, rows = len(utts), _turn_rows(d)
-        for e in wanted.get(d.dialogue_id, ()):
-            at = rows.get(exs[e].query_turn_index)
-            if at is not None:
-                examples[e] = (first, first + at[0], first + at[1])
-        utts.extend(d.turns())
-    if None in examples:
-        ex = exs[examples.index(None)]
-        raise ContractError(f"dialogue {ex.dialogue_id} has no user turn "
-                            f"{ex.query_turn_index}")
-    tokens, offsets = _token_rows(
-        [u.text for u in utts],
-        np.where([u.role is Role.USER for u in utts], ROLE_TOKEN[Role.USER],
-                 ROLE_TOKEN[Role.SYSTEM]),
-        vocab, MAX_UTTERANCE_TOKENS)
+    """Utterance tokens and turns, and the examples' rows and targets; no candidates."""
+    utts = [u for d in corpus.dialogues for u in d.turns()]
+    tokens, offsets = _token_rows(((ROLE_TOKEN[u.role], u.text) for u in utts),
+                                  vocab, MAX_UTTERANCE_TOKENS)
     position = {t: corpus.pool_order(t)[1] for t in TaskKind}
     targets = [[position[ex.task][ex.positive_id if cid is None else cid]
-                for cid in (ex.positive_id, semi_hard_id(ex))] for ex in exs]
+                for cid in (ex.positive_id, semi_hard_id(ex))] for ex in corpus.examples]
     return TrainingInputs(vocab, tokens, offsets,
                           np.array([u.turn_index for u in utts], np.int32),
-                          np.array(examples, np.int32).reshape(-1, 3), {},
-                          np.array(targets, np.intp).reshape(-1, 2))
+                          corpus._example_rows, {}, np.array(targets, np.intp).reshape(-1, 2))
 
 
 def sample_pool(ex: RetrievalExample, corpus: Corpus, pool_size: int,

@@ -1,4 +1,4 @@
-"""Tokenization and the trainable text encoder.
+"""Id sequences over ``corpus.tokenize``, and the trainable text encoder.
 
 An input is rendered as [CLS, lead-token] ++ word ids, where the lead token
 marks the speaker role for utterances or the retrieval task for candidates.
@@ -17,8 +17,8 @@ import numpy as np
 
 from . import autodiff as ad
 from .corpus import (CLS_ID, MAX_CANDIDATE_TOKENS, MAX_UTTERANCE_TOKENS,
-                     ROLE_TOKEN, TASK_TOKEN, UNK_ID, Candidate, Utterance,
-                     derive_rng)
+                     ROLE_TOKEN, TASK_TOKEN, Candidate, Utterance, derive_rng,
+                     tokenize)
 from .errors import ContractError
 
 
@@ -54,13 +54,6 @@ def init_encoder_params(vocab: dict[str, int], d: int = 64, seed: int = 0,
     pos = draw(positions, d) if positions > 0 else None
     return EncoderParams(embedding=draw(len(vocab), d), ff_weight=draw(d, d),
                          ff_bias=draw(d), vocab=dict(vocab), position=pos)
-
-
-def tokenize(text: str, vocab: dict[str, int], max_len: int) -> list[int]:
-    """Whitespace split, vocabulary lookup with UNK fallback, truncation."""
-    if max_len < 1:
-        raise ContractError(f"max_len {max_len} is below 1")
-    return [vocab.get(tok, UNK_ID) for tok in text.split()[:max_len]]
 
 
 def encode_batch(ids, offsets, params: EncoderParams,

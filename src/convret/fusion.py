@@ -84,19 +84,15 @@ def topk_indices(scores: np.ndarray, k: int) -> list[int]:
     return sorted(int(i) for i in order)
 
 
-def attend(h_query: ad.Tensor, H_hist: ad.Tensor | list[ad.Tensor],
+def attend(h_query: ad.Tensor, H_hist: ad.Tensor,
            tape: ad.Tape | None = None, mask=None) -> ad.Tensor:
     """Scaled dot-product attention of each query over the history rows.
 
     ``h_query`` is one query vector or a B x d matrix of query rows;
-    ``H_hist`` is an N x d matrix or a list of N vectors. A boolean
-    ``mask`` (N entries per query) restricts each query to its true
-    entries; every query needs one.
+    ``H_hist`` is an N x d matrix; an empty one (N = 0) is a
+    DimensionError. A boolean ``mask`` (N entries per query) restricts each
+    query to its true entries; every query needs one.
     """
-    if isinstance(H_hist, list):
-        if not H_hist:
-            raise ContractError("attend over an empty history")
-        H_hist = ad.stack(H_hist, tape)
     scores = ad.scale(ad.matmul(h_query, ad.transpose(H_hist, tape), tape),
                       1.0 / math.sqrt(h_query.shape[-1]), tape)
     return ad.matmul(ad.softmax(scores, tape, mask), H_hist, tape)

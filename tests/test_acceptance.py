@@ -95,7 +95,7 @@ def _family_attend(i):
 
     def f(p):
         tape = ad.Tape()
-        out = attend(p["q"], [p[f"h{j}"] for j in range(m)], tape)
+        out = attend(p["q"], ad.stack([p[f"h{j}"] for j in range(m)], tape), tape)
         return tape, ad.dot(out, probe, tape)
 
     return f, params

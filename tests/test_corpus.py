@@ -233,6 +233,30 @@ def test_dangling_reference_names_the_id(tmp_path):
         load_corpus(p)
 
 
+def test_duplicate_and_unknown_dialogues_fail_construction(tmp_path, capsys):
+    c = make_corpus()
+    d0, ex = c.dialogues[0], c.examples[0]
+    with pytest.raises(IntegrityError, match="duplicate dialogue id d0"):
+        Corpus([d0, d0], c.pools, [ex], c.vocab)
+    stray = RetrievalExample("ghost", 0, TaskKind.PERSONA, "c1", ())
+    with pytest.raises(IntegrityError, match="unknown dialogue id ghost"):
+        Corpus([d0], c.pools, [ex, stray], c.vocab)
+    # a file nests each example in its dialogue's record, so of the two only
+    # a duplicate dialogue can be written to one
+    good, bad = tmp_path / "good.jsonl", tmp_path / "bad.jsonl"
+    write_records(good, minimal_records())
+    ckpt = tmp_path / "model.ckpt"
+    save_checkpoint(initial_checkpoint(load_corpus(good), TrainConfig(dim=4)), ckpt)
+    write_records(bad, minimal_records() + minimal_records()[2:])
+    with pytest.raises(IntegrityError, match="duplicate dialogue id d0"):
+        load_corpus(bad)
+    code = main(["eval", "--corpus", str(bad), "--ckpt", str(ckpt),
+                 "--task", "persona", "--pool-size", "2"])
+    out = capsys.readouterr()
+    assert code == 1 and out.out == ""
+    assert out.err == "convret: duplicate dialogue id d0\n"
+
+
 # ---------------------------------------------------------------------------
 # split_sessions
 # ---------------------------------------------------------------------------
@@ -307,15 +331,20 @@ def test_compiled_rows_of_edge_dialogues_match_split_sessions():
     dialogues = _edge_dialogues()
     pools = {t: {} for t in TaskKind}
     pools[TaskKind.PERSONA]["c0"] = Candidate("c0", TaskKind.PERSONA, "w0")
-    exs = [RetrievalExample(d.dialogue_id, turn, TaskKind.PERSONA, "c0", ())
-           for d, turns in zip(dialogues, ((3, 1), (0, 2))) for turn in turns]
-    c = build_corpus(dialogues, pools, exs)
-    rows = c.training_inputs(c.vocab, []).examples
-    assert rows.tolist() == [[0, 3, 3], [0, 1, 1], [5, 7, 7], [5, 7, 9]]
+    want = {("sys", 3): [0, 3, 3], ("sys", 1): [0, 1, 1],
+            ("rep", 0): [5, 7, 7], ("rep", 2): [5, 7, 9]}
     turns = [x for d in dialogues for x in d.turns()]
-    for ex, (start, split, query) in zip(exs, rows):
-        assert split_sessions(c.dialogue(ex.dialogue_id), ex.query_turn_index) == (
-            turns[start:split], turns[split:query], turns[query])
+    # in dialogue order, then with each dialogue's examples split by the
+    # other's, so its first row and turn map are looked up again
+    for order in (list(want), [("rep", 2), ("sys", 3), ("rep", 0), ("sys", 1)]):
+        exs = [RetrievalExample(did, turn, TaskKind.PERSONA, "c0", ())
+               for did, turn in order]
+        c = build_corpus(dialogues, pools, exs)
+        rows = c.training_inputs(c.vocab, []).examples
+        assert rows.tolist() == [want[key] for key in order]
+        for ex, (start, split, query) in zip(exs, rows):
+            assert split_sessions(c.dialogue(ex.dialogue_id), ex.query_turn_index) == (
+                turns[start:split], turns[split:query], turns[query])
 
 
 def test_split_degenerate_and_errors():

@@ -10,7 +10,7 @@ import convret.autodiff as ad
 from convret.corpus import (Dialogue, Role, Session, SPECIAL_TOKENS, Utterance,
                             derive_rng, split_sessions)
 from convret.encoder import encode_ids, encode_utterance, init_encoder_params
-from convret.errors import ConfigError, ContractError
+from convret.errors import ConfigError, ContractError, ConvretError
 from convret.fusion import (ContextMode, FusionParams, ModeKind, _concat_ids,
                             attend, encode_context, gate_fuse,
                             init_fusion_params, topk_indices)
@@ -72,13 +72,13 @@ def test_topk_matches_full_sort_oracle_with_ties():
 def test_attend_single_key_returns_it():
     q = vec(0.3, -0.2, 0.5)
     v = vec(1.0, 2.0, 3.0)
-    np.testing.assert_allclose(attend(q, [v]).values, v.values, atol=1e-15)
+    np.testing.assert_allclose(attend(q, ad.stack([v])).values, v.values, atol=1e-15)
 
 
 def test_attend_equal_scores_average_the_values():
     q = vec(1.0, 0.0)
     a, b = vec(0.0, 2.0), vec(0.0, -4.0)  # both orthogonal to q
-    np.testing.assert_allclose(attend(q, [a, b]).values, [0.0, -1.0], atol=1e-14)
+    np.testing.assert_allclose(attend(q, ad.stack([a, b])).values, [0.0, -1.0], atol=1e-14)
 
 
 def test_attend_matches_direct_formula_oracle():
@@ -91,11 +91,11 @@ def test_attend_matches_direct_formula_oracle():
         w = np.exp(s - s.max())
         w /= w.sum()
         want = sum(wi * k.values for wi, k in zip(w, keys))
-        np.testing.assert_allclose(attend(q, keys).values, want,
+        np.testing.assert_allclose(attend(q, ad.stack(keys)).values, want,
                                    rtol=1e-12, atol=1e-12)
         assert abs(w.sum() - 1.0) <= 1e-12 and np.all(w > 0)
-    with pytest.raises(ContractError):
-        attend(q, [])
+    with pytest.raises(ConvretError):
+        attend(q, ad.Tensor(np.zeros((0, d))))
 
 
 def _sum(t, tape):
@@ -125,7 +125,7 @@ def test_attend_with_query_rows_and_a_mask_matches_rows_and_gradients():
     U = params["U"].values
     got = attend(ad.Tensor(U[q_cols]), params["U"], mask=mask).values
     for i, keep in enumerate(mask):
-        want = attend(ad.Tensor(U[q_cols[i]]), [ad.Tensor(h) for h in U[keep]])
+        want = attend(ad.Tensor(U[q_cols[i]]), ad.Tensor(U[keep]))
         np.testing.assert_allclose(got[i], want.values, rtol=0, atol=1e-12)
     np.testing.assert_array_equal(got[-1], U[q_cols[-1]])
 
@@ -231,7 +231,7 @@ def test_adaptive_with_small_history_equals_attend_plus_gate():
     d = dialogue_from([["t1 t2", "t3 t4"], ["t5 t6"]])
     h_ut = encode_utterance(d.turns()[2], enc)
     hist = [encode_utterance(u, enc) for u in d.turns()[:2]]
-    fused, _ = gate_fuse(attend(h_ut, hist), h_ut, fus)
+    fused, _ = gate_fuse(attend(h_ut, ad.stack(hist)), h_ut, fus)
     got = encode_context(d, 2, ContextMode.adaptive(3), enc, fus).values
     np.testing.assert_allclose(got, fused.values, rtol=1e-12, atol=1e-14)
 
@@ -294,7 +294,7 @@ def test_frozen_selection_overrides_scores():
     d = dialogue_from([["t1 t2", "t3 t4"], ["t1 t2"]])
     h_ut = encode_utterance(d.turns()[2], enc)
     forced = encode_utterance(d.turns()[1], enc)
-    want, _ = gate_fuse(attend(h_ut, [forced]), h_ut, fus)
+    want, _ = gate_fuse(attend(h_ut, ad.stack([forced])), h_ut, fus)
     got = encode_context(d, 2, ContextMode.adaptive(1), enc, fus,
                          frozen_selection=[1])
     np.testing.assert_allclose(got.values, want.values, rtol=1e-12, atol=1e-14)
@@ -357,7 +357,7 @@ def _per_row_context(d, query_turn, mode, enc, fusion, tape=None,
     hist = [rows[i] for i in chosen] + rows[n:-1]
     if not hist:
         return h_ut
-    return gate_fuse(attend(h_ut, hist, tape), h_ut, fusion, tape)[0]
+    return gate_fuse(attend(h_ut, ad.stack(hist, tape), tape), h_ut, fusion, tape)[0]
 
 
 SMALL = dict(topics=6, dialogues_per_task=12, words_per_topic=8,
