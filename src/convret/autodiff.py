@@ -7,14 +7,14 @@ intermediate gradient as soon as its op has passed it on. The primitives:
 
 - arithmetic: matmul (``dot`` is its vector-vector case), add/sub/mul
   (with numpy broadcasting, so a vector adds to every matrix row and a
-  column scales each row), scalar ``scale``, sigmoid, tanh and mean;
+  column scales each row), scalar ``scale``, sigmoid and mean;
 - over the last axis, so per row for a matrix: ``softmax`` (optionally
   over a mask) and ``logsumexp``;
 - structural, gradients routed unchanged: concat, reshape, transpose and
   ``gather`` (rows or entries by an index array, or matrix entries by a
   pair of row and column index arrays);
-- ``segment_mean``: the mean of table rows per id segment, a sparse
-  product of an embedding matrix with normalized one-hot count rows.
+- ``mean_affine_tanh``: the text encoder as one op, the mean of table rows
+  per id segment (plus a shift) through an affine map and tanh.
 
 Everything else in the package is composed from these.
 """
@@ -232,7 +232,7 @@ def gather(a: Tensor, idx, tape: Tape | None = None) -> Tensor:
     return _emit(tape, "gather", (a,), (idx, a.shape), a.values[idx])
 
 
-SEGMENT_CHUNK = 1024  # tokens gathered at once inside segment_mean
+SEGMENT_CHUNK = 1024  # tokens gathered at once inside mean_affine_tanh
 
 
 def _segment_chunks(offsets: np.ndarray) -> list[tuple[int, int]]:
@@ -250,15 +250,16 @@ def _segment_chunks(offsets: np.ndarray) -> list[tuple[int, int]]:
     return chunks
 
 
-def segment_mean(table: Tensor, ids, offsets, tape: Tape | None = None) -> Tensor:
-    """Row i is the mean of ``table[ids[offsets[i]:offsets[i + 1]]]``.
-
-    Equivalent to multiplying the table by a matrix of normalized one-hot
-    count rows; computed sparsely in token chunks, so neither pass builds
-    the full tokens x d gather and the backward pass touches only used rows.
-    """
-    if table.values.ndim != 2:
-        raise DimensionError("segment_mean needs a matrix")
+def mean_affine_tanh(table: Tensor, weight: Tensor, bias: Tensor, ids, offsets,
+                     tape: Tape | None = None, shift: Tensor | None = None) -> Tensor:
+    """Rows ``tanh((m + shift) @ weight.T + bias)``, where row i of ``m`` is
+    the mean of ``table[ids[offsets[i]:offsets[i + 1]]]`` and ``shift`` is
+    optional. ``m`` is a sparse product of the table with normalized one-hot
+    count rows, computed in token chunks, so neither pass builds the full
+    tokens x d gather and the backward pass touches only used rows."""
+    if table.values.ndim != 2 or weight.shape[1:] != table.shape[1:] \
+            or bias.shape != weight.shape[:1]:
+        raise DimensionError(f"table {table.shape}, weight {weight.shape}, bias {bias.shape}")
     ids = np.asarray(ids, dtype=np.intp)
     offsets = np.asarray(offsets, dtype=np.intp)
     if offsets.ndim != 1 or offsets.size < 2 or offsets[0] != 0 \
@@ -266,19 +267,26 @@ def segment_mean(table: Tensor, ids, offsets, tape: Tape | None = None) -> Tenso
         raise DimensionError("segment offsets must run from 0 to len(ids)")
     counts = offsets[1:] - offsets[:-1]
     if counts.min() < 1:
-        raise DimensionError("segment_mean of an empty segment")
-    out = np.empty((counts.size, table.shape[1]))
-    for first, end in _segment_chunks(offsets):
-        lo = offsets[first]
-        rows = table.values[ids[lo:offsets[end]]]
-        out[first:end] = np.add.reduceat(rows, offsets[first:end] - lo, axis=0)
-    out /= counts[:, None]
-    return _emit(tape, "segment_mean", (table,), (ids, offsets, table.shape), out)
-
-
-def tanh(a: Tensor, tape: Tape | None = None) -> Tensor:
-    out = np.tanh(a.values)
-    return _emit(tape, "tanh", (a,), (out,), out)
+        raise DimensionError("mean of an empty segment")
+    if ids.size <= SEGMENT_CHUNK:
+        m = np.add.reduceat(table.values[ids], offsets[:-1], axis=0)
+    else:
+        m = np.empty((counts.size, table.shape[1]))
+        for first, end in _segment_chunks(offsets):
+            lo = offsets[first]
+            rows = table.values[ids[lo:offsets[end]]]
+            m[first:end] = np.add.reduceat(rows, offsets[first:end] - lo, axis=0)
+    m /= counts[:, None]
+    inputs = (table, weight, bias)
+    if shift is not None:
+        if shift.shape != m.shape:
+            raise DimensionError(f"shift {shift.shape} for means {m.shape}")
+        m += shift.values
+        inputs += (shift,)
+    wt = weight.values.T.copy()
+    out = np.tanh(m @ wt + bias.values)
+    return _emit(tape, "mean_affine_tanh", inputs,
+                 (ids, offsets, table.shape, m, wt, out), out)
 
 
 def logsumexp(a: Tensor, tape: Tape | None = None) -> Tensor:
@@ -403,8 +411,15 @@ def _vjp_gather(node, g, store):
     np.add.at(_zeros_at(store, node.inputs[0], shape), idx, g)
 
 
-def _vjp_segment_mean(node, g, store):
-    ids, offsets, shape = node.saved
+def _vjp_mean_affine_tanh(node, g, store):
+    # tanh, bias add, matmul, mean: the unfused ops' VJPs in order, to the bit
+    ids, offsets, shape, m, wt, t = node.saved
+    g = g * (1.0 - t * t)
+    _acc(store, node.inputs[2], _reduce_to(g, wt.shape[1:]))
+    _acc(store, node.inputs[1], (m.T @ g).T)
+    g = g @ wt.T
+    if len(node.inputs) == 4:
+        _acc(store, node.inputs[3], g)
     counts = offsets[1:] - offsets[:-1]
     g = g / counts[:, None]
     cols = np.arange(shape[1])
@@ -414,11 +429,6 @@ def _vjp_segment_mean(node, g, store):
         flat = (ids[offsets[first]:offsets[end], None] * shape[1] + cols).ravel()
         _acc(store, node.inputs[0], np.bincount(
             flat, per_token.ravel(), shape[0] * shape[1]).reshape(shape))
-
-
-def _vjp_tanh(node, g, store):
-    t = node.saved[0]
-    _acc(store, node.inputs[0], g * (1.0 - t * t))
 
 
 def _vjp_logsumexp(node, g, store):
@@ -438,8 +448,7 @@ _VJP = {
     "reshape": _vjp_reshape,
     "transpose": _vjp_transpose,
     "gather": _vjp_gather,
-    "segment_mean": _vjp_segment_mean,
-    "tanh": _vjp_tanh,
+    "mean_affine_tanh": _vjp_mean_affine_tanh,
     "logsumexp": _vjp_logsumexp,
 }
 

@@ -5,8 +5,9 @@ marks the speaker role for utterances or the retrieval task for candidates.
 The encoder is an embedding mean followed by one linear layer with tanh:
 small enough to train in seconds, while both towers stay behind this
 interface so a heavier encoder could replace them. ``encode_batch`` encodes
-many sequences, given as flat ids and offsets, as the rows of one matrix;
-the single-item functions are its one-row case.
+many sequences, given as flat ids and offsets, as the rows of one matrix
+with one ``autodiff.mean_affine_tanh`` op, whose shift is the gathered
+position rows; the single-item functions are its one-row case.
 """
 
 from __future__ import annotations
@@ -62,12 +63,12 @@ def encode_batch(ids, offsets, params: EncoderParams,
     sequence, as an N x d matrix; with ``positions`` (one per row) and an
     enabled position table, each row's position vector is added to its mean
     first."""
-    m = ad.segment_mean(params.embedding, ids, offsets, tape)
+    shift = None
     if params.position is not None and positions is not None:
         idx = np.minimum(positions, params.position.shape[0] - 1)
-        m = ad.add(m, ad.gather(params.position, idx, tape), tape)
-    z = ad.matmul(m, ad.transpose(params.ff_weight, tape), tape)
-    return ad.tanh(ad.add(z, params.ff_bias, tape), tape)
+        shift = ad.gather(params.position, idx, tape)
+    return ad.mean_affine_tanh(params.embedding, params.ff_weight,
+                               params.ff_bias, ids, offsets, tape, shift)
 
 
 def encode_ids(ids: list[int], params: EncoderParams,

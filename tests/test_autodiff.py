@@ -78,11 +78,28 @@ def test_sigmoid_is_stable_and_matches_formula():
     assert got[0] >= 0.0 and got[4] <= 1.0
 
 
-def test_tanh_matches_numpy():
+def _encoder_tables(rng, vocab, d, k):
+    """An embedding table, a k x d weight and a bias, as constants."""
+    return (ad.Tensor(rng.normal(size=(vocab, d))), ad.Tensor(rng.normal(size=(k, d))),
+            ad.Tensor(rng.normal(size=k)))
+
+
+def test_mean_affine_tanh_matches_numpy():
+    # one token per row, so each mean is that token's row; large weights
+    # drive tanh into saturation, and the weight need not be square
     rng = np.random.default_rng(14)
-    v = rng.normal(size=(4, 5)) * 3.0
-    got = ad.tanh(ad.Tensor(v)).values
-    np.testing.assert_allclose(got, np.tanh(v), rtol=1e-12, atol=1e-12)
+    table, weight, bias = _encoder_tables(rng, 6, 4, 5)
+    weight = ad.Tensor(weight.values * 3.0)
+    ids = [4, 0, 4, 2]
+    shift = rng.normal(size=(4, 4))
+    got = ad.mean_affine_tanh(table, weight, bias, ids, range(5),
+                              shift=ad.Tensor(shift)).values
+    want = np.tanh((table.values[ids] + shift) @ weight.values.T + bias.values)
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+    plain = ad.mean_affine_tanh(table, weight, bias, ids, range(5)).values
+    np.testing.assert_allclose(
+        plain, np.tanh(table.values[ids] @ weight.values.T + bias.values),
+        rtol=1e-12, atol=1e-12)
 
 
 def test_logsumexp_matches_numpy_and_survives_large_inputs():
@@ -112,36 +129,51 @@ def test_stack_rows():
     np.testing.assert_allclose(s.values, [[1.0, 2.0], [3.0, 4.0]])
 
 
-def test_segment_mean_matches_dense_mean_with_duplicates():
+def test_mean_affine_tanh_matches_dense_mean_with_duplicates():
     rng = np.random.default_rng(16)
-    table = rng.normal(size=(10, 4))
+    table, weight, bias = _encoder_tables(rng, 10, 4, 4)
     segments = [[3, 3, 7, 0], [5], [0, 9, 9]]
     offsets = np.cumsum([0] + [len(seg) for seg in segments])
-    got = ad.segment_mean(ad.Tensor(table), sum(segments, []), offsets).values
-    want = [table[seg].mean(axis=0) for seg in segments]
+    got = ad.mean_affine_tanh(table, weight, bias, sum(segments, []), offsets).values
+    means = np.array([table.values[seg].mean(axis=0) for seg in segments])
+    want = np.tanh(means @ weight.values.T + bias.values)
     np.testing.assert_allclose(got, want, rtol=1e-12)
 
 
-def test_segment_mean_chunks_give_the_unchunked_result():
+def test_mean_affine_tanh_chunks_give_the_unchunked_result(monkeypatch):
     # several chunks, segments straddling chunk ends, one longer than a chunk
     rng = np.random.default_rng(21)
-    table = rng.normal(size=(50, 3))
     lengths = np.append(rng.integers(1, 700, size=8), 1500)
     ids = rng.integers(0, 50, size=int(lengths.sum()))
     offsets = np.concatenate([[0], np.cumsum(lengths)])
     assert offsets[-1] > 3 * ad.SEGMENT_CHUNK
-    tape = ad.Tape()
-    t = ad.Tensor(table, requires_grad=True)
+    table, weight, bias = (ad.Tensor(t.values, requires_grad=True)
+                           for t in _encoder_tables(rng, 50, 3, 3))
     probe = rng.normal(size=(9, 3))
-    out = ad.segment_mean(t, ids, offsets, tape)
-    want = [table[ids[a:b]].mean(axis=0) for a, b in zip(offsets, offsets[1:])]
-    np.testing.assert_allclose(out.values, want, rtol=1e-12)
-    loss = ad.mean(ad.reshape(ad.mul(out, ad.Tensor(probe), tape), (27,), tape), tape)
-    grad = ad.backward(tape, loss)[tape.node_of(t)].values
+
+    def run():
+        tape = ad.Tape()
+        out = ad.mean_affine_tanh(table, weight, bias, ids, offsets, tape)
+        loss = ad.mean(ad.reshape(ad.mul(out, ad.Tensor(probe), tape), (27,), tape), tape)
+        grads = ad.backward(tape, loss)
+        return out.values, [grads[tape.node_of(t)].values for t in (table, weight, bias)]
+
+    out, grads = run()
+    monkeypatch.setattr(ad, "SEGMENT_CHUNK", int(offsets[-1]))
+    whole, whole_grads = run()
+    # each segment sums inside one chunk, so the values agree to the bit
+    np.testing.assert_array_equal(out, whole)
     dense = np.zeros((9, 50))
     for i, (a, b) in enumerate(zip(offsets, offsets[1:])):
         np.add.at(dense[i], ids[a:b], 1.0 / (b - a))
-    np.testing.assert_allclose(grad, dense.T @ probe / 27, rtol=1e-10, atol=1e-15)
+    means = dense @ table.values
+    np.testing.assert_allclose(out, np.tanh(means @ weight.values.T + bias.values),
+                               rtol=1e-12)
+    gz = probe / 27 * (1.0 - out * out)
+    want = [dense.T @ gz @ weight.values, gz.T @ means, gz.sum(axis=0)]
+    for got, got_whole, w in zip(grads, whole_grads, want):
+        np.testing.assert_allclose(got, w, rtol=1e-10, atol=1e-15)
+        np.testing.assert_allclose(got_whole, w, rtol=1e-10, atol=1e-15)
 
 
 def test_row_wise_ops_match_numpy():
@@ -198,8 +230,18 @@ def test_shape_errors():
         ad.softmax(ad.Tensor(np.zeros((2, 0))))
     with pytest.raises(DimensionError):
         ad.Tensor(np.zeros((2, 2, 2)))
-    with pytest.raises(DimensionError):
-        ad.segment_mean(ad.Tensor(np.zeros((3, 2))), [1], [0, 1, 1])
+    table, weight, bias = (ad.Tensor(np.zeros(shape)) for shape in ((3, 2), (4, 2), (4,)))
+    for ids, offsets in [([1], [0, 1, 1]), ([1], [0, 2]), ([1, 2], [1, 2]), ([1], [0]),
+                         ([1], [[0, 1]])]:
+        with pytest.raises(DimensionError):  # an empty segment, or bad offsets
+            ad.mean_affine_tanh(table, weight, bias, ids, offsets)
+    wide = ad.Tensor(np.zeros((4, 3)))  # inner size 3 against the table's 2
+    for t, w, b, shift in [(table, wide, bias, None), (table, weight, table, None),
+                           (table, weight, bias, np.zeros((1, 3))),
+                           (ad.Tensor(np.zeros(3)), weight, bias, None)]:
+        with pytest.raises(DimensionError):
+            ad.mean_affine_tanh(t, w, b, [1, 2], [0, 2],
+                                shift=None if shift is None else ad.Tensor(shift))
     with pytest.raises(DimensionError):
         ad.gather(ad.Tensor(np.zeros((3, 2))), [[0, 1]])
     for x, y in [((3, 2), (3,)), ((3, 2), (2, 2)), ((3, 2), (1, 3))]:
@@ -256,7 +298,7 @@ def test_backward_is_idempotent():
     tape = ad.Tape()
     x = rand_tensor(rng, (3, 3))
     w = rand_tensor(rng, (3,))
-    out = ad.mean(ad.tanh(ad.matmul(x, w, tape), tape), tape)
+    out = ad.mean(ad.sigmoid(ad.matmul(x, w, tape), tape), tape)
     first = ad.backward(tape, out)
     second = ad.backward(tape, out)
     assert first.keys() == second.keys()
@@ -275,6 +317,7 @@ def _single_op_cases(rng):
     b2 = rand_tensor(rng, (4, 2))
     v4 = rand_tensor(rng, (4,))
     v3 = rand_tensor(rng, (3,))
+    a3 = rand_tensor(rng, (3, 3))
     c3 = rand_tensor(rng, (3, 1))
     s = ad.Tensor(rng.uniform(0.5, 1.5), requires_grad=True)
     return {
@@ -301,10 +344,15 @@ def _single_op_cases(rng):
         "structural": ({"a": a2},
                        lambda t, p: ad.gather(ad.gather(ad.transpose(
                            ad.reshape(p["a"], (4, 3), t), t), 2, t), 1, t)),
-        "segment_mean": ({"e": rand_tensor(rng, (6, 3))},
-                         lambda t, p: _weighted(t, ad.segment_mean(
-                             p["e"], [0, 2, 2, 5, 1], [0, 4, 5], t))),
-        "tanh": ({"a": v4}, lambda t, p: ad.mean(ad.tanh(p["a"], t), t)),
+        "mean_affine_tanh": ({"e": rand_tensor(rng, (6, 3)), "w": rand_tensor(rng, (2, 3)),
+                              "b": rand_tensor(rng, (2,))},
+                             lambda t, p: _weighted(t, ad.mean_affine_tanh(
+                                 p["e"], p["w"], p["b"], [0, 2, 2, 5, 1], [0, 4, 5], t))),
+        "mean_affine_tanh_shift": ({"e": rand_tensor(rng, (6, 3)), "w": a3,
+                                    "b": v3, "s": rand_tensor(rng, (3, 3))},
+                                   lambda t, p: _weighted(t, ad.mean_affine_tanh(
+                                       p["e"], p["w"], p["b"], [4, 4, 0, 4, 1, 0],
+                                       [0, 3, 4, 6], t, p["s"]))),
         "logsumexp": ({"a": v4}, lambda t, p: ad.logsumexp(p["a"], t)),
         "logsumexp_rows": ({"a": a2},
                            lambda t, p: _weighted(t, ad.logsumexp(p["a"], t))),
@@ -360,7 +408,7 @@ def test_random_composite_programs_pass_finite_difference_check():
 
         def f(p):
             tape = ad.Tape()
-            h = ad.tanh(ad.add(ad.matmul(p["w"], x, tape), p["b"], tape), tape)
+            h = ad.sigmoid(ad.add(ad.matmul(p["w"], x, tape), p["b"], tape), tape)
             probs = ad.softmax(h, tape)
             out = ad.sub(ad.logsumexp(h, tape), ad.gather(probs, 1, tape), tape)
             return tape, out

@@ -27,7 +27,7 @@ from convret.training import TrainConfig, _batch_loss, param_views, train
 
 from test_acceptance import TINY
 
-MODES = {"adaptive": ContextMode.adaptive(2),
+MODES = {"adaptive": ContextMode.adaptive(2), "adaptive3": ContextMode.adaptive(3),
          "full_concat": ContextMode.full_concat(),
          "no_prev": ContextMode.no_prev(), "mean_all": ContextMode.mean_all()}
 INPUTS = TINY.training_inputs(TINY.vocab, TaskKind)
@@ -118,7 +118,7 @@ def _loss_and_grads(build, params):
 
 CASES = [(mode, positions, frozen)
          for mode in MODES for positions in (0, 4)
-         for frozen in ((False, True) if mode == "adaptive" else (False,))]
+         for frozen in ((False, True) if mode.startswith("adaptive") else (False,))]
 
 
 @pytest.mark.parametrize("mode,positions,frozen", CASES)
@@ -141,7 +141,7 @@ def test_batched_loss_and_gradients_match_per_example_path(mode, positions, froz
             scale = np.max(np.abs(want_g[name]))
             np.testing.assert_allclose(got_g[name], want_g[name], rtol=1e-10,
                                        atol=1e-10 * scale, err_msg=name)
-        assert nodes <= 100 < ref_nodes
+        assert nodes <= 50 < ref_nodes
 
 
 def test_batched_loss_passes_gradient_check_with_frozen_selection():

@@ -300,6 +300,19 @@ def test_frozen_selection_overrides_scores():
     np.testing.assert_allclose(got.values, want.values, rtol=1e-12, atol=1e-14)
 
 
+def test_empty_frozen_selection_without_a_current_session_returns_the_query():
+    # previous sessions exist, but nothing is chosen and the query opens its
+    # session, so there is no history row to attend over
+    enc = init_encoder_params(make_vocab(WORDS), d=6, seed=10, positions=4)
+    fus = init_fusion_params(6, 10)
+    d = dialogue_from([["t1 t2", "t3 t4"], ["t5 t6"]])
+    last = d.turns()[2]
+    got = encode_context(d, 2, ContextMode.adaptive(2), enc, fus,
+                         frozen_selection=[])
+    np.testing.assert_array_equal(
+        got.values, encode_utterance(last, enc, position=last.turn_index).values)
+
+
 def test_full_pipeline_gradient_check_with_frozen_selection():
     enc, fus = make_setup(d=5, seed=9)
     d = dialogue_from([["t1 t2", "t3 t4", "t5 t6", "t7"], ["t9 t6", "t4", "t1 t5"]])
