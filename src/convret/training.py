@@ -121,18 +121,13 @@ def optimizer_step(ck: Checkpoint, grads: dict[str, np.ndarray], lr_t: float,
     ck.step += 1
     t = ck.step
     for name, p in ck.arrays.items():
-        g, m, v = grads[name], ck.moments_m[name], ck.moments_v[name]
-        a, b = np.empty_like(p), np.empty_like(p)
-        m *= ADAM_BETA1
-        m += np.multiply(1 - ADAM_BETA1, g, out=a)
-        v *= ADAM_BETA2
-        v += np.multiply(np.multiply(1 - ADAM_BETA2, g, out=a), g, out=a)
-        np.sqrt(np.divide(v, 1 - ADAM_BETA2 ** t, out=b), out=b)
-        b += ADAM_EPS
-        np.divide(np.divide(m, 1 - ADAM_BETA1 ** t, out=a), b, out=a)
-        a += np.multiply(weight_decay, p, out=b)
-        a *= lr_t
-        p -= a
+        g = grads[name]
+        m = ADAM_BETA1 * ck.moments_m[name] + (1 - ADAM_BETA1) * g
+        v = ADAM_BETA2 * ck.moments_v[name] + (1 - ADAM_BETA2) * g * g
+        ck.moments_m[name], ck.moments_v[name] = m, v
+        m_hat = m / (1 - ADAM_BETA1 ** t)
+        v_hat = v / (1 - ADAM_BETA2 ** t)
+        p -= lr_t * (m_hat / (np.sqrt(v_hat) + ADAM_EPS) + weight_decay * p)
 
 
 def schedule_lr(cfg: TrainConfig, step: int, total_steps: int) -> float:

@@ -18,11 +18,11 @@ from convret.encoder import encode_candidate
 from convret.errors import CheckpointError, ConfigError, TrainingError
 from convret.fusion import ContextMode
 from convret.generator import GeneratorConfig, generate_synthetic
-from convret.training import (ADAM_BETA1, ADAM_BETA2, ADAM_EPS, Checkpoint,
-                              Schedule, TrainConfig, _epoch_batches, _steps,
-                              _task_examples, initial_checkpoint,
-                              load_checkpoint, optimizer_step, save_checkpoint,
-                              schedule_lr, steps_per_epoch, train)
+from convret.training import (Checkpoint, Schedule, TrainConfig,
+                              _epoch_batches, _steps, _task_examples,
+                              initial_checkpoint, load_checkpoint,
+                              optimizer_step, save_checkpoint, schedule_lr,
+                              steps_per_epoch, train)
 
 
 def tiny_corpus(dialogues=12, seed=0, sessions=3):
@@ -75,28 +75,6 @@ def test_one_step_matches_hand_coded_reference():
     optimizer_step(ck, {"x": np.asarray(g)}, lr_t=lr)
     assert abs(float(ck.arrays["x"]) - want) < 1e-12
     assert float(ck.moments_m["x"]) == m and float(ck.moments_v["x"]) == v
-
-
-@pytest.mark.parametrize("weight_decay", [0.0, 1e-3])
-def test_in_place_update_is_the_allocating_formula_to_the_bit(weight_decay):
-    b1, b2, eps = ADAM_BETA1, ADAM_BETA2, ADAM_EPS
-    rng = np.random.default_rng(7)
-    ck = _ck(w=rng.normal(size=(30, 4)), b=rng.normal(size=4))
-    held = [ck.arrays, ck.moments_m, ck.moments_v]
-    buffers = [a for d in held for a in d.values()]
-    p, m, v = ({n: a.copy() for n, a in d.items()} for d in held)
-    for t in range(1, 6):
-        grads = {n: rng.normal(size=a.shape) for n, a in p.items()}
-        optimizer_step(ck, grads, 0.05, weight_decay)
-        for n, g in grads.items():
-            m[n] = b1 * m[n] + (1 - b1) * g
-            v[n] = b2 * v[n] + (1 - b2) * g * g
-            m_hat, v_hat = m[n] / (1 - b1 ** t), v[n] / (1 - b2 ** t)
-            p[n] = p[n] - 0.05 * (m_hat / (np.sqrt(v_hat) + eps) + weight_decay * p[n])
-        for got, want in zip(held, (p, m, v)):
-            for n in want:
-                np.testing.assert_array_equal(got[n], want[n])
-    assert all(a is b for a, b in zip(buffers, (a for d in held for a in d.values())))
 
 
 def test_weight_decay_is_decoupled():
