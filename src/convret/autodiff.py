@@ -1,8 +1,9 @@
 """Minimal dense-tensor arithmetic with reverse-mode automatic differentiation.
 
 Tensors are immutable float64 arrays of rank <= 2. Operations optionally
-record onto an explicit ``Tape``; ``backward`` replays the tape in reverse
-to produce gradients for every leaf that requires them, dropping each
+record onto an explicit ``Tape``, each with its own backward: a closure over
+the forward values it needs. ``backward`` replays the tape in reverse to
+produce gradients for every leaf that requires them, dropping each
 intermediate gradient as soon as its op has passed it on. The primitives:
 
 - arithmetic: matmul (``dot`` is its vector-vector case), add/sub/mul
@@ -20,6 +21,8 @@ Everything else in the package is composed from these.
 """
 
 from __future__ import annotations
+
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -63,18 +66,15 @@ def scalar(value: float) -> Tensor:
     return Tensor(np.asarray(float(value)))
 
 
-class _Node:
-    __slots__ = ("op", "inputs", "saved", "out_id")
-
-    def __init__(self, op: str, inputs: tuple[int, ...], saved: tuple, out_id: int):
-        self.op = op
-        self.inputs = inputs
-        self.saved = saved
-        self.out_id = out_id
+class _Node(NamedTuple):
+    op: str
+    inputs: tuple[int, ...]  # node ids
+    vjp: Callable | None  # see _emit; None for a leaf
 
 
 class Tape:
-    """Append-only record of operations; node ids are topologically ordered."""
+    """Append-only record of operations; a node's id is its index, so ids
+    are topologically ordered."""
 
     def __init__(self):
         self.nodes: list[_Node] = []
@@ -85,15 +85,15 @@ class Tape:
         nid = self._ids.get(id(t))
         if nid is None:
             nid = len(self.nodes)
-            self.nodes.append(_Node("leaf", (), (), nid))
+            self.nodes.append(_Node("leaf", (), None))
             self._ids[id(t)] = nid
             self._tensors[nid] = t
         return nid
 
-    def _record(self, op: str, inputs: tuple[Tensor, ...], saved: tuple, out: Tensor) -> None:
+    def _record(self, op: str, inputs: tuple[Tensor, ...], vjp, out: Tensor) -> None:
         in_ids = tuple(self._register(t) for t in inputs)
         nid = len(self.nodes)
-        self.nodes.append(_Node(op, in_ids, saved, nid))
+        self.nodes.append(_Node(op, in_ids, vjp))
         self._ids[id(out)] = nid
         self._tensors[nid] = out
 
@@ -102,13 +102,35 @@ class Tape:
         return self._ids.get(id(t))
 
 
-def _emit(tape: Tape | None, op: str, inputs: tuple[Tensor, ...], saved: tuple,
+def _emit(tape: Tape | None, op: str, inputs: tuple[Tensor, ...], vjp,
           values: np.ndarray) -> Tensor:
+    """The op's output. It is recorded when an input needs a gradient, with
+    ``vjp(g, store, ids)``, which adds the op's part of the output gradient
+    ``g`` to the ``store`` entries of its inputs' node ``ids``."""
     track = tape is not None and any(t.requires_grad for t in inputs)
     out = Tensor(values, requires_grad=track)
     if track:
-        tape._record(op, inputs, saved, out)
+        tape._record(op, inputs, vjp, out)
     return out
+
+
+def _acc(store: dict, nid: int, g: np.ndarray) -> None:
+    buf = store.get(nid)
+    if buf is None:
+        store[nid] = np.array(g, dtype=np.float64)
+    else:
+        buf += g
+
+
+def _reduce_to(g: np.ndarray, shape: tuple) -> np.ndarray:
+    """Sum a broadcast gradient over the leading and stretched size-1 axes
+    back to the operand's shape."""
+    if g.shape == shape:
+        return g
+    lead = g.ndim - len(shape)
+    axes = tuple(range(lead)) + tuple(lead + i for i, n in enumerate(shape)
+                                      if n == 1 and g.shape[lead + i] != 1)
+    return g.sum(axis=axes).reshape(shape)
 
 
 # ---------------------------------------------------------------------------
@@ -124,33 +146,57 @@ def _binary_shapes(a: Tensor, b: Tensor, op: str) -> None:
 
 def add(a: Tensor, b: Tensor, tape: Tape | None = None) -> Tensor:
     _binary_shapes(a, b, "add")
-    return _emit(tape, "add", (a, b), (a.shape, b.shape), a.values + b.values)
+
+    def vjp(g, store, ins):
+        _acc(store, ins[0], _reduce_to(g, a.shape))
+        _acc(store, ins[1], _reduce_to(g, b.shape))
+    return _emit(tape, "add", (a, b), vjp, a.values + b.values)
 
 
 def sub(a: Tensor, b: Tensor, tape: Tape | None = None) -> Tensor:
     _binary_shapes(a, b, "sub")
-    return _emit(tape, "sub", (a, b), (a.shape, b.shape), a.values - b.values)
+
+    def vjp(g, store, ins):
+        _acc(store, ins[0], _reduce_to(g, a.shape))
+        _acc(store, ins[1], _reduce_to(-g, b.shape))
+    return _emit(tape, "sub", (a, b), vjp, a.values - b.values)
 
 
 def mul(a: Tensor, b: Tensor, tape: Tape | None = None) -> Tensor:
     """Elementwise product, broadcast like ``add``."""
     _binary_shapes(a, b, "mul")
-    return _emit(tape, "mul", (a, b), (a.values, b.values), a.values * b.values)
+
+    def vjp(g, store, ins):
+        _acc(store, ins[0], _reduce_to(g * b.values, a.shape))
+        _acc(store, ins[1], _reduce_to(g * a.values, b.shape))
+    return _emit(tape, "mul", (a, b), vjp, a.values * b.values)
 
 
 def scale(a: Tensor, c: float, tape: Tape | None = None) -> Tensor:
     """Multiply by a plain (non-differentiated) float."""
-    return _emit(tape, "scale", (a,), (float(c),), a.values * float(c))
+    c = float(c)
+
+    def vjp(g, store, ins):
+        _acc(store, ins[0], g * c)
+    return _emit(tape, "scale", (a,), vjp, a.values * c)
 
 
 def matmul(a: Tensor, b: Tensor, tape: Tape | None = None) -> Tensor:
     if a.values.ndim == 0 or b.values.ndim == 0:
         raise DimensionError("matmul requires rank-1 or rank-2 operands")
-    ka = a.shape[-1]
-    kb = b.shape[0]
-    if ka != kb:
-        raise DimensionError(f"matmul: inner dimensions {ka} and {kb} differ")
-    return _emit(tape, "matmul", (a, b), (a.values, b.values), a.values @ b.values)
+    if a.shape[-1] != b.shape[0]:
+        raise DimensionError(f"matmul: inner dimensions {a.shape[-1]} and {b.shape[0]} differ")
+    av, bv = a.values, b.values
+
+    def vjp(g, store, ins):
+        # every rank pair as (m, k) @ (k, n): a vector ``a`` is one row, a
+        # vector ``b`` one column
+        a2 = av.reshape(-1, av.shape[-1])
+        b2 = bv.reshape(bv.shape[0], -1)
+        g2 = g.reshape(a2.shape[0], b2.shape[1])
+        _acc(store, ins[0], (g2 @ b2.T).reshape(av.shape))
+        _acc(store, ins[1], (a2.T @ g2).reshape(bv.shape))
+    return _emit(tape, "matmul", (a, b), vjp, av @ bv)
 
 
 def dot(a: Tensor, b: Tensor, tape: Tape | None = None) -> Tensor:
@@ -166,7 +212,10 @@ def sigmoid(a: Tensor, tape: Tape | None = None) -> Tensor:
     out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
     ex = np.exp(x[~pos])
     out[~pos] = ex / (1.0 + ex)
-    return _emit(tape, "sigmoid", (a,), (out,), out)
+
+    def vjp(g, store, ins):
+        _acc(store, ins[0], g * out * (1.0 - out))
+    return _emit(tape, "sigmoid", (a,), vjp, out)
 
 
 def softmax(a: Tensor, tape: Tape | None = None, mask=None) -> Tensor:
@@ -185,7 +234,10 @@ def softmax(a: Tensor, tape: Tape | None = None, mask=None) -> Tensor:
         x = np.where(mask, x, -np.inf)
     e = np.exp(x - x.max(axis=-1, keepdims=True))
     out = e / e.sum(axis=-1, keepdims=True)
-    return _emit(tape, "softmax", (a,), (out,), out)
+
+    def vjp(g, store, ins):
+        _acc(store, ins[0], out * (g - np.einsum("...i,...i->...", g, out)[..., None]))
+    return _emit(tape, "softmax", (a,), vjp, out)
 
 
 def concat(parts: list[Tensor], tape: Tape | None = None) -> Tensor:
@@ -193,27 +245,46 @@ def concat(parts: list[Tensor], tape: Tape | None = None) -> Tensor:
     if not parts:
         raise DimensionError("concat of an empty list")
     flats = [p.values.reshape(-1) for p in parts]
-    sizes = tuple(f.size for f in flats)
-    return _emit(tape, "concat", tuple(parts),
-                 (sizes, tuple(p.shape for p in parts)), np.concatenate(flats))
+
+    def vjp(g, store, ins):
+        offset = 0
+        for nid, f, p in zip(ins, flats, parts):
+            _acc(store, nid, g[offset:offset + f.size].reshape(p.shape))
+            offset += f.size
+    return _emit(tape, "concat", tuple(parts), vjp, np.concatenate(flats))
+
+
+def stack(vectors: list[Tensor], tape: Tape | None = None) -> Tensor:
+    """Stack equal-length vectors into a matrix, one per row: a concat and a
+    reshape, not a primitive."""
+    d = vectors[0].shape[0]
+    return reshape(concat(vectors, tape), (len(vectors), d), tape)
 
 
 def mean(v: Tensor, tape: Tape | None = None) -> Tensor:
     if v.values.ndim != 1 or v.shape[0] < 1:
         raise DimensionError(f"mean needs a non-empty vector, got shape {v.shape}")
-    return _emit(tape, "mean", (v,), (v.shape[0],), np.mean(v.values))
+
+    def vjp(g, store, ins):
+        _acc(store, ins[0], np.full(v.shape, g / v.shape[0]))
+    return _emit(tape, "mean", (v,), vjp, np.mean(v.values))
 
 
 # structural ops: pure rearrangements, gradients pass through unchanged
 
 def reshape(a: Tensor, shape: tuple[int, ...], tape: Tape | None = None) -> Tensor:
-    return _emit(tape, "reshape", (a,), (a.shape,), a.values.reshape(shape))
+    def vjp(g, store, ins):
+        _acc(store, ins[0], g.reshape(a.shape))
+    return _emit(tape, "reshape", (a,), vjp, a.values.reshape(shape))
 
 
 def transpose(a: Tensor, tape: Tape | None = None) -> Tensor:
     if a.values.ndim != 2:
         raise DimensionError("transpose needs a matrix")
-    return _emit(tape, "transpose", (a,), (), a.values.T.copy())
+
+    def vjp(g, store, ins):
+        _acc(store, ins[0], g.T)
+    return _emit(tape, "transpose", (a,), vjp, a.values.T.copy())
 
 
 def gather(a: Tensor, idx, tape: Tape | None = None) -> Tensor:
@@ -229,7 +300,12 @@ def gather(a: Tensor, idx, tape: Tape | None = None) -> Tensor:
         idx = np.asarray(idx, dtype=np.intp)
         if a.values.ndim == 0 or a.values.ndim + idx.ndim - 1 > 2:
             raise DimensionError(f"gather of shape {a.shape} by index rank {idx.ndim}")
-    return _emit(tape, "gather", (a,), (idx, a.shape), a.values[idx])
+
+    def vjp(g, store, ins):
+        if ins[0] not in store:  # scattered writes need a zeroed buffer
+            store[ins[0]] = np.zeros(a.shape)
+        np.add.at(store[ins[0]], idx, g)
+    return _emit(tape, "gather", (a,), vjp, a.values[idx])
 
 
 SEGMENT_CHUNK = 1024  # tokens gathered at once inside mean_affine_tanh
@@ -255,8 +331,11 @@ def mean_affine_tanh(table: Tensor, weight: Tensor, bias: Tensor, ids, offsets,
     """Rows ``tanh((m + shift) @ weight.T + bias)``, where row i of ``m`` is
     the mean of ``table[ids[offsets[i]:offsets[i + 1]]]`` and ``shift`` is
     optional. ``m`` is a sparse product of the table with normalized one-hot
-    count rows, computed in token chunks, so neither pass builds the full
-    tokens x d gather and the backward pass touches only used rows."""
+    count rows, and the backward pass touches only used rows. Both passes run
+    in token chunks, which saves memory, as neither builds the full tokens x d
+    gather, and time: on a 2-core Xeon with numpy 2.4, one gather and
+    reduceat over a 6,640-token batch of 830 rows took 3.7-4.5 ms against
+    0.9-1.5 ms in chunks, while at 1,856 tokens the two cost about the same."""
     if table.values.ndim != 2 or weight.shape[1:] != table.shape[1:] \
             or bias.shape != weight.shape[:1]:
         raise DimensionError(f"table {table.shape}, weight {weight.shape}, bias {bias.shape}")
@@ -285,8 +364,24 @@ def mean_affine_tanh(table: Tensor, weight: Tensor, bias: Tensor, ids, offsets,
         inputs += (shift,)
     wt = weight.values.T.copy()
     out = np.tanh(m @ wt + bias.values)
-    return _emit(tape, "mean_affine_tanh", inputs,
-                 (ids, offsets, table.shape, m, wt, out), out)
+
+    def vjp(g, store, ins):
+        # tanh, bias add, matmul, mean: the unfused ops' VJPs in order, to the bit
+        g = g * (1.0 - out * out)
+        _acc(store, ins[2], _reduce_to(g, bias.shape))
+        _acc(store, ins[1], (m.T @ g).T)
+        g = g @ wt.T
+        if shift is not None:
+            _acc(store, ins[3], g)
+        g = g / counts[:, None]
+        n, d = table.shape
+        cols = np.arange(d)
+        for first, end in _segment_chunks(offsets):
+            per_token = np.repeat(g[first:end], counts[first:end], axis=0)
+            # scatter-add by flat (id, column) index: one bincount beats np.add.at
+            flat = (ids[offsets[first]:offsets[end], None] * d + cols).ravel()
+            _acc(store, ins[0], np.bincount(flat, per_token.ravel(), n * d).reshape(n, d))
+    return _emit(tape, "mean_affine_tanh", inputs, vjp, out)
 
 
 def logsumexp(a: Tensor, tape: Tape | None = None) -> Tensor:
@@ -297,161 +392,15 @@ def logsumexp(a: Tensor, tape: Tape | None = None) -> Tensor:
     m = a.values.max(axis=-1, keepdims=True)
     e = np.exp(a.values - m)
     total = e.sum(axis=-1, keepdims=True)
-    out = (np.log(total) + m)[..., 0]
-    return _emit(tape, "logsumexp", (a,), (e / total,), out)
 
-
-# ---------------------------------------------------------------------------
-# composed helpers (no new primitives)
-# ---------------------------------------------------------------------------
-
-def stack(vectors: list[Tensor], tape: Tape | None = None) -> Tensor:
-    """Stack equal-length vectors into a matrix, one per row."""
-    d = vectors[0].shape[0]
-    return reshape(concat(vectors, tape), (len(vectors), d), tape)
+    def vjp(g, store, ins):
+        _acc(store, ins[0], np.asarray(g)[..., None] * (e / total))
+    return _emit(tape, "logsumexp", (a,), vjp, (np.log(total) + m)[..., 0])
 
 
 # ---------------------------------------------------------------------------
 # backward
 # ---------------------------------------------------------------------------
-
-def _acc(store: dict, nid: int, g: np.ndarray) -> None:
-    buf = store.get(nid)
-    if buf is None:
-        store[nid] = np.array(g, dtype=np.float64)
-    else:
-        buf += g
-
-
-def _zeros_at(store: dict, nid: int, shape: tuple) -> np.ndarray:
-    """The gradient buffer of a node, created as zeros for scattered writes."""
-    buf = store.get(nid)
-    if buf is None:
-        buf = store[nid] = np.zeros(shape)
-    return buf
-
-
-def _reduce_to(g: np.ndarray, shape: tuple) -> np.ndarray:
-    """Sum a broadcast gradient over the leading and stretched size-1 axes
-    back to the operand's shape."""
-    if g.shape == shape:
-        return g
-    lead = g.ndim - len(shape)
-    axes = tuple(range(lead)) + tuple(lead + i for i, n in enumerate(shape)
-                                      if n == 1 and g.shape[lead + i] != 1)
-    return g.sum(axis=axes).reshape(shape)
-
-
-def _vjp_add(node, g, store):
-    sa, sb = node.saved
-    _acc(store, node.inputs[0], _reduce_to(g, sa))
-    _acc(store, node.inputs[1], _reduce_to(g, sb))
-
-
-def _vjp_sub(node, g, store):
-    sa, sb = node.saved
-    _acc(store, node.inputs[0], _reduce_to(g, sa))
-    _acc(store, node.inputs[1], _reduce_to(-g, sb))
-
-
-def _vjp_mul(node, g, store):
-    av, bv = node.saved
-    _acc(store, node.inputs[0], _reduce_to(g * bv, av.shape))
-    _acc(store, node.inputs[1], _reduce_to(g * av, bv.shape))
-
-
-def _vjp_scale(node, g, store):
-    _acc(store, node.inputs[0], g * node.saved[0])
-
-
-def _vjp_matmul(node, g, store):
-    # every rank pair as (m, k) @ (k, n): a vector ``a`` is one row, a vector
-    # ``b`` one column
-    av, bv = node.saved
-    a2 = av.reshape(-1, av.shape[-1])
-    b2 = bv.reshape(bv.shape[0], -1)
-    g2 = g.reshape(a2.shape[0], b2.shape[1])
-    _acc(store, node.inputs[0], (g2 @ b2.T).reshape(av.shape))
-    _acc(store, node.inputs[1], (a2.T @ g2).reshape(bv.shape))
-
-
-def _vjp_sigmoid(node, g, store):
-    s = node.saved[0]
-    _acc(store, node.inputs[0], g * s * (1.0 - s))
-
-
-def _vjp_softmax(node, g, store):
-    s = node.saved[0]
-    _acc(store, node.inputs[0], s * (g - np.einsum("...i,...i->...", g, s)[..., None]))
-
-
-def _vjp_concat(node, g, store):
-    sizes, shapes = node.saved
-    offset = 0
-    for nid, size, shp in zip(node.inputs, sizes, shapes):
-        _acc(store, nid, g[offset:offset + size].reshape(shp))
-        offset += size
-
-
-def _vjp_mean(node, g, store):
-    n = node.saved[0]
-    _acc(store, node.inputs[0], np.full(n, g / n))
-
-
-def _vjp_reshape(node, g, store):
-    _acc(store, node.inputs[0], g.reshape(node.saved[0]))
-
-
-def _vjp_transpose(node, g, store):
-    _acc(store, node.inputs[0], g.T)
-
-
-def _vjp_gather(node, g, store):
-    idx, shape = node.saved
-    np.add.at(_zeros_at(store, node.inputs[0], shape), idx, g)
-
-
-def _vjp_mean_affine_tanh(node, g, store):
-    # tanh, bias add, matmul, mean: the unfused ops' VJPs in order, to the bit
-    ids, offsets, shape, m, wt, t = node.saved
-    g = g * (1.0 - t * t)
-    _acc(store, node.inputs[2], _reduce_to(g, wt.shape[1:]))
-    _acc(store, node.inputs[1], (m.T @ g).T)
-    g = g @ wt.T
-    if len(node.inputs) == 4:
-        _acc(store, node.inputs[3], g)
-    counts = offsets[1:] - offsets[:-1]
-    g = g / counts[:, None]
-    cols = np.arange(shape[1])
-    for first, end in _segment_chunks(offsets):
-        per_token = np.repeat(g[first:end], counts[first:end], axis=0)
-        # scatter-add by flat (id, column) index: one bincount beats np.add.at
-        flat = (ids[offsets[first]:offsets[end], None] * shape[1] + cols).ravel()
-        _acc(store, node.inputs[0], np.bincount(
-            flat, per_token.ravel(), shape[0] * shape[1]).reshape(shape))
-
-
-def _vjp_logsumexp(node, g, store):
-    _acc(store, node.inputs[0], np.asarray(g)[..., None] * node.saved[0])
-
-
-_VJP = {
-    "add": _vjp_add,
-    "sub": _vjp_sub,
-    "mul": _vjp_mul,
-    "scale": _vjp_scale,
-    "matmul": _vjp_matmul,
-    "sigmoid": _vjp_sigmoid,
-    "softmax": _vjp_softmax,
-    "concat": _vjp_concat,
-    "mean": _vjp_mean,
-    "reshape": _vjp_reshape,
-    "transpose": _vjp_transpose,
-    "gather": _vjp_gather,
-    "mean_affine_tanh": _vjp_mean_affine_tanh,
-    "logsumexp": _vjp_logsumexp,
-}
-
 
 def backward(tape: Tape, output: Tensor) -> dict[int, Tensor]:
     """Gradients of a scalar output for every requires_grad leaf on the tape.
@@ -465,24 +414,21 @@ def backward(tape: Tape, output: Tensor) -> dict[int, Tensor]:
     if out_id is None:
         raise ContractError("output was not recorded on this tape")
     store: dict[int, np.ndarray] = {out_id: np.ones(())}
-    for node in reversed(tape.nodes):
-        if node.op == "leaf":
+    for nid in range(len(tape.nodes) - 1, -1, -1):
+        node = tape.nodes[nid]
+        if node.vjp is None:  # a leaf
             continue
         # an op's output gradient is final once every later node has run,
         # and nothing reads it after its own VJP
-        g = store.pop(node.out_id, None)
-        if g is None:
-            continue
-        _VJP[node.op](node, g, store)
+        g = store.pop(nid, None)
+        if g is not None:
+            node.vjp(g, store, node.inputs)
     grads: dict[int, Tensor] = {}
-    for node in tape.nodes:
-        if node.op != "leaf":
-            continue
-        leaf = tape._tensors[node.out_id]
-        if not leaf.requires_grad:
-            continue
-        buf = store.get(node.out_id)
-        grads[node.out_id] = Tensor(buf if buf is not None else np.zeros(leaf.shape))
+    for nid, node in enumerate(tape.nodes):
+        leaf = tape._tensors[nid]
+        if node.op == "leaf" and leaf.requires_grad:
+            buf = store.get(nid)
+            grads[nid] = Tensor(buf if buf is not None else np.zeros(leaf.shape))
     return grads
 
 

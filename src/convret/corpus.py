@@ -130,10 +130,11 @@ class Corpus:
     Every corpus is checked when it is constructed, else IntegrityError:
     dialogue ids are distinct, and each example names a known dialogue, one
     of its user turns and candidates of its task's pool. The check records
-    each example's ``TrainingInputs.examples`` row."""
-    dialogues: list[Dialogue]
+    each example's ``TrainingInputs.examples`` row, so ``dialogues`` and
+    ``examples`` are kept as tuples: no edit can leave those rows behind."""
+    dialogues: tuple[Dialogue, ...]
     pools: dict[TaskKind, dict[str, Candidate]]
-    examples: list[RetrievalExample]
+    examples: tuple[RetrievalExample, ...]
     vocab: dict[str, int]
     _by_id: dict[str, Dialogue] = field(init=False, repr=False)
     # instrumentation: counts candidate reads per task (e.g. to verify that
@@ -145,6 +146,7 @@ class Corpus:
     _example_rows: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        self.dialogues, self.examples = tuple(self.dialogues), tuple(self.examples)
         self.pool_reads = {t: 0 for t in TaskKind}
         self._orders = {}
         self._inputs = None
@@ -239,8 +241,7 @@ def build_vocab(dialogues, pools) -> dict[str, int]:
 
 def build_corpus(dialogues, pools, examples) -> Corpus:
     """A corpus whose vocabulary is derived from its content."""
-    return Corpus(list(dialogues), pools, list(examples),
-                  build_vocab(dialogues, pools))
+    return Corpus(dialogues, pools, examples, build_vocab(dialogues, pools))
 
 
 # ---------------------------------------------------------------------------
@@ -254,7 +255,7 @@ def _typed(value, kind: type, what: str):
     return value
 
 
-def _parse_dialogue(rec: dict, lineno: int) -> tuple[Dialogue, list[RetrievalExample]]:
+def _parse_dialogue(rec: dict) -> tuple[Dialogue, list[RetrievalExample]]:
     did = _typed(rec["id"], str, "dialogue id")
     sessions = []
     turn = 0
@@ -303,7 +304,7 @@ def load_corpus(path) -> Corpus:
                             line=lineno)
                     pool[cand.candidate_id] = cand
                 elif kind == "dialogue":
-                    d, exs = _parse_dialogue(rec, lineno)
+                    d, exs = _parse_dialogue(rec)
                     dialogues.append(d)
                     examples.extend(exs)
                 else:
@@ -518,7 +519,9 @@ def sample_pool(ex: RetrievalExample, corpus: Corpus, pool_size: int,
 
 def split_corpus(corpus: Corpus, holdout_fraction: float, seed: int):
     """Partition dialogues (and their examples) into train and held-out
-    corpora; both keep the full candidate pools."""
+    corpora; both keep the full candidate pools. The training corpus counts
+    its own vocabulary; the held-out one keeps ``corpus``'s, since
+    evaluation tokenizes with the checkpoint's."""
     if not 0.0 < holdout_fraction < 1.0:
         raise ContractError(f"holdout fraction {holdout_fraction} not in (0, 1)")
     n = len(corpus.dialogues)
@@ -531,6 +534,7 @@ def split_corpus(corpus: Corpus, holdout_fraction: float, seed: int):
         ds = [d for d in corpus.dialogues if (d.dialogue_id in held_ids) == keep_held]
         ids = {d.dialogue_id for d in ds}
         exs = [ex for ex in corpus.examples if ex.dialogue_id in ids]
-        return build_corpus(ds, corpus.pools, exs)
+        return (Corpus(ds, corpus.pools, exs, corpus.vocab) if keep_held
+                else build_corpus(ds, corpus.pools, exs))
 
     return subset(False), subset(True)

@@ -137,6 +137,23 @@ def test_ablate_emits_variant_table(tmp_path, capsys):
     assert set(table["baseline"]) == {t.value for t in TaskKind}
 
 
+def test_ablate_evaluates_on_the_eval_corpus(tmp_path, capsys):
+    train_path, eval_path = tmp_path / "train.jsonl", tmp_path / "eval.jsonl"
+    run(capsys, *GEN, "--out", str(train_path))
+    run(capsys, *GEN[:-1], "4", "--out", str(eval_path))
+
+    def table(*eval_corpus):
+        code, stdout, _ = run(capsys, "ablate", "--corpus", str(train_path),
+                              *eval_corpus, "--variants", "baseline",
+                              "--pool-size", "8", "--epochs", "0", "--batch", "4",
+                              "--eval-seed", "7")
+        assert code == 0
+        return json.loads(stdout)
+
+    assert (table() == table("--eval-corpus", str(train_path))
+            != table("--eval-corpus", str(eval_path)))
+
+
 def test_ablate_without_a_loss_term_fails_before_training(tmp_path, capsys,
                                                          monkeypatch):
     corpus_path = tmp_path / "corpus.jsonl"

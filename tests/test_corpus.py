@@ -8,9 +8,9 @@ import pytest
 from convret.cli import main
 from convret.corpus import (SPECIAL_TOKENS, Candidate, Corpus, Dialogue,
                             RetrievalExample, Role, Session, TaskKind,
-                            Utterance, build_corpus, derive_rng, load_corpus,
-                            sample_pool, semi_hard_id, split_corpus,
-                            split_sessions, write_corpus)
+                            Utterance, build_corpus, build_vocab, derive_rng,
+                            load_corpus, sample_pool, semi_hard_id,
+                            split_corpus, split_sessions, write_corpus)
 from convret.errors import (CapacityError, ConfigError, ContractError,
                             IntegrityError, ParseError)
 from convret.generator import GeneratorConfig, generate_synthetic
@@ -127,8 +127,21 @@ def test_empty_file_loads_as_empty_corpus(tmp_path):
     p = tmp_path / "empty.jsonl"
     p.write_text("")
     c = load_corpus(p)
-    assert c.dialogues == [] and c.examples == []
+    assert c.dialogues == () and c.examples == ()
     assert set(c.vocab) == set(SPECIAL_TOKENS)
+
+
+def test_blank_lines_are_skipped_but_counted(tmp_path):
+    plain, spaced = tmp_path / "plain.jsonl", tmp_path / "spaced.jsonl"
+    write_records(plain, minimal_records())
+    lines = [json.dumps(r) for r in minimal_records()]
+    spaced.write_text("\n" + "\n  \n".join(lines) + "\n\n")
+    a, b = load_corpus(plain), load_corpus(spaced)
+    assert (b.dialogues, b.pools, b.examples, b.vocab) == (
+        a.dialogues, a.pools, a.examples, a.vocab)
+    spaced.write_text("\n" + "\n  \n".join(lines[:2] + ["{oops"]))
+    with pytest.raises(ParseError, match="line 6"):
+        load_corpus(spaced)
 
 
 def minimal_records():
@@ -221,6 +234,31 @@ def test_wrongly_typed_fields_fail_with_line_number(tmp_path, capsys, mutate,
     err = capsys.readouterr().err
     assert code == 1
     assert err.count("\n") == 1 and err.startswith(f"convret: line {line}: ")
+
+
+def test_unknown_candidate_id_names_task_and_id():
+    c = make_corpus()
+    assert c.candidate(TaskKind.PERSONA, "c1").text == "w1 a"
+    with pytest.raises(IntegrityError, match="unknown persona candidate id k0"):
+        c.candidate(TaskKind.PERSONA, "k0")
+
+
+def test_corpus_content_cannot_move_away_from_its_compiled_rows():
+    # the construction walk records each example's rows, so an example added
+    # or replaced afterwards would go unseen by training_inputs
+    c = generate_synthetic(small_cfg(dialogues_per_task=8), 3)
+    n = len(c.examples)
+    dialogues, examples = list(c.dialogues), list(c.examples)
+    copy = Corpus(dialogues, c.pools, examples, c.vocab)
+    dialogues.pop()
+    examples.append(examples[0])  # the lists it was built from stay the caller's
+    for corpus in (c, copy):
+        with pytest.raises(AttributeError):
+            corpus.examples.append(corpus.examples[0])
+        with pytest.raises(TypeError):
+            corpus.dialogues[0] = corpus.dialogues[-1]
+        inputs = corpus.training_inputs(corpus.vocab, [])
+        assert len(inputs.examples) == len(inputs.targets) == len(corpus.examples) == n
 
 
 def test_dangling_reference_names_the_id(tmp_path):
@@ -579,6 +617,10 @@ def test_split_corpus_partitions_dialogues_and_keeps_pools():
     assert held.pools == c.pools and train.pools == c.pools
     assert {e.dialogue_id for e in held.examples} <= held_ids
     assert len(train.examples) + len(held.examples) == len(c.examples)
+    # evaluation tokenizes with the checkpoint's vocabulary, so only the
+    # training half counts its own
+    assert held.vocab is c.vocab
+    assert train.vocab == build_vocab(train.dialogues, train.pools) != c.vocab
     with pytest.raises(ContractError):
         split_corpus(c, 0.0, seed=1)
 

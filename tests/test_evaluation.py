@@ -221,10 +221,10 @@ def test_evaluate_is_deterministic_and_mode_defaults_to_checkpoint():
 
 
 def test_evaluate_rejects_missing_task_examples():
-    corpus = small_corpus()
-    ck = initial_checkpoint(corpus, TrainConfig(seed=3))
-    corpus.examples = [ex for ex in corpus.examples
-                       if ex.task is not TaskKind.KNOWLEDGE]
+    full = small_corpus()
+    ck = initial_checkpoint(full, TrainConfig(seed=3))
+    corpus = build_corpus(full.dialogues, full.pools,
+                          [ex for ex in full.examples if ex.task is not TaskKind.KNOWLEDGE])
     with pytest.raises(ContractError):
         evaluate(corpus, ck, TaskKind.KNOWLEDGE, 8, seed=5)
 

@@ -12,8 +12,8 @@ import pytest
 
 import convret.corpus as corpus_mod
 import convret.training as training_mod
-from convret.corpus import (Candidate, TaskKind, derive_rng, load_corpus,
-                            semi_hard_id, write_corpus)
+from convret.corpus import (Candidate, TaskKind, build_corpus, derive_rng,
+                            load_corpus, semi_hard_id, write_corpus)
 from convret.encoder import encode_candidate
 from convret.errors import CheckpointError, ConfigError, TrainingError
 from convret.fusion import ContextMode
@@ -247,12 +247,13 @@ def test_train_groups_examples_by_task_once(monkeypatch):
 
 def test_easy_negative_needs_a_candidate_left(monkeypatch):
     # every persona example's positive is the pool's one candidate
-    corpus = tiny_corpus()
+    full = tiny_corpus()
     task = TaskKind.PERSONA
-    only = corpus.examples[[ex.task for ex in corpus.examples].index(task)].positive_id
-    corpus.pools[task] = {only: corpus.pools[task][only]}
-    corpus.examples[:] = [replace(ex, positive_id=only, historical_ids=())
-                          if ex.task is task else ex for ex in corpus.examples]
+    only = full.examples[[ex.task for ex in full.examples].index(task)].positive_id
+    corpus = build_corpus(
+        full.dialogues, {**full.pools, task: {only: full.pools[task][only]}},
+        [replace(ex, positive_id=only, historical_ids=()) if ex.task is task else ex
+         for ex in full.examples])
     cfg = tiny_train_cfg(regime=task)
     steps = []
     monkeypatch.setattr(training_mod, "optimizer_step",
@@ -402,7 +403,7 @@ def _fractional_k(blob: bytes) -> bytes:
 
 
 def _break_corpus(corpus, ck):
-    corpus.dialogues.insert(0, None)  # raises after the candidate records
+    corpus.dialogues = (None, *corpus.dialogues)  # raises after the candidate records
 
 
 def _break_checkpoint(corpus, ck):
