@@ -17,10 +17,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields
 
+import numpy as np
+
 from .corpus import (Candidate, Corpus, Dialogue, RetrievalExample, Role,
                      Session, TaskKind, Utterance, _typed, build_corpus,
                      derive_rng)
-from .errors import ConfigError
+from .errors import ConfigError, ContractError
 
 
 @dataclass(frozen=True)
@@ -62,31 +64,72 @@ def _word_table(cfg: GeneratorConfig) -> tuple[list[list[str]], list[str]]:
     return topics, sum(topics, []) + [f"c{j}" for j in range(cfg.common_words)]
 
 
-def _draw(rng, words: list[str], n: int) -> list[str]:
-    picks = rng.choice(len(words), size=min(n, len(words)), replace=False)
-    return [words[i] for i in picks.tolist()]
+class _Draws:
+    """One dialogue's draws, one ``integers(0, bounds)`` call, decoded as the
+    scalar calls they replace: ``below(n)`` is ``integers(n)`` and
+    ``pick(n, k)`` is ``choice(n, k, replace=False)`` for n <= 10,000
+    (Floyd's algorithm, then a Fisher-Yates shuffle)."""
+
+    def __init__(self, values: list[int]):
+        self.values, self.used = values, 0
+
+    def take(self, bounds: range) -> list[int]:
+        """The next len(bounds) draws; draw i is below bounds[i]."""
+        start = self.used
+        self.used += len(bounds)
+        if self.used > len(self.values):
+            raise ContractError("a dialogue used more draws than its config recorded")
+        return self.values[start:self.used]
+
+    def below(self, n: int) -> int:
+        return self.take(range(n, n + 1))[0]
+
+    def pick(self, n: int, k: int) -> list[int]:
+        out, seen = [], set()
+        for j, v in enumerate(self.take(range(n - k + 1, n + 1)), n - k):
+            v = j if v in seen else v
+            seen.add(v)
+            out.append(v)
+        for i, j in zip(range(k - 1, 0, -1), self.take(range(k, 1, -1))):
+            out[i], out[j] = out[j], out[i]
+        return out
 
 
-def _utterance_text(cfg, rng, words: list[str]) -> str:
-    toks = _draw(rng, words, cfg.utterance_words)
-    toks.append(f"c{rng.integers(cfg.common_words)}")
+class _Recorder(_Draws):
+    """Records every draw's bound; each draw reads 0."""
+
+    def __init__(self):
+        super().__init__([])
+        self.bounds: list[int] = []
+
+    def take(self, bounds: range) -> list[int]:
+        self.bounds.extend(bounds)
+        return [0] * len(bounds)
+
+
+def _draw(draws: _Draws, words: list[str], n: int) -> list[str]:
+    return [words[i] for i in draws.pick(len(words), min(n, len(words)))]
+
+
+def _utterance_text(cfg, draws: _Draws, words: list[str]) -> str:
+    toks = _draw(draws, words, cfg.utterance_words)
+    toks.append(f"c{draws.below(cfg.common_words)}")
     return " ".join(toks)
 
 
-def _build_dialogue(cfg: GeneratorConfig, table, task: TaskKind, index: int, seed: int):
-    rng = derive_rng(seed, "dlg", task.value, index)
+def _build_dialogue(cfg: GeneratorConfig, table, task: TaskKind, index: int,
+                    draws: _Draws):
     single = cfg.sessions_per_dialogue == 1
     n_units = cfg.turns_per_session if single else cfg.sessions_per_dialogue
     pairs_per_unit = 1 if single else cfg.turns_per_session
     topic_words, all_words = table
 
-    unit_words = [topic_words[t] for t in
-                  rng.choice(cfg.topics, size=n_units, replace=False).tolist()]
-    entity = f"e{rng.integers(cfg.entities)}"
+    unit_words = [topic_words[t] for t in draws.pick(cfg.topics, n_units)]
+    entity = f"e{draws.below(cfg.entities)}"
 
     # texts[unit][pair] = [user_text, system_text]
-    texts = [[[_utterance_text(cfg, rng, unit_words[u]),
-               _utterance_text(cfg, rng, unit_words[u])]
+    texts = [[[_utterance_text(cfg, draws, unit_words[u]),
+               _utterance_text(cfg, draws, unit_words[u])]
               for _ in range(pairs_per_unit)] for u in range(n_units)]
 
     did = f"{task.value}-{index}"
@@ -96,19 +139,19 @@ def _build_dialogue(cfg: GeneratorConfig, table, task: TaskKind, index: int, see
     for u in example_units:
         cid = f"{task.value[0]}{index}_{u}"
         if cfg.positive_coupling:
-            toks = _draw(rng, unit_words[u], cfg.utterance_words)
+            toks = _draw(draws, unit_words[u], cfg.utterance_words)
             if n_units > 1:
                 toks.append(entity)
-            toks.append(f"c{rng.integers(cfg.common_words)}")
+            toks.append(f"c{draws.below(cfg.common_words)}")
             # callback: one system slot of the previous unit restates the
             # query unit's topic together with the anchor entity
             if n_units > 1:
-                cb = _draw(rng, unit_words[u], cfg.utterance_words)
+                cb = _draw(draws, unit_words[u], cfg.utterance_words)
                 cb.append(entity)
-                pair = int(rng.integers(pairs_per_unit))
+                pair = draws.below(pairs_per_unit)
                 texts[u - 1][pair][1] = " ".join(cb)
         else:
-            toks = _draw(rng, all_words, cfg.utterance_words + 1)
+            toks = _draw(draws, all_words, cfg.utterance_words + 1)
         candidates.append(Candidate(cid, task, " ".join(toks)))
 
     # pair p of unit u is turns 2(u * pairs_per_unit + p) and the one after
@@ -129,9 +172,17 @@ def generate_synthetic(cfg: GeneratorConfig, seed: int) -> Corpus:
     pools: dict[TaskKind, dict[str, Candidate]] = {t: {} for t in TaskKind}
     examples: list[RetrievalExample] = []
     table = _word_table(cfg)
+    # no draw's bound depends on an earlier draw: one recording serves all
+    recorder = _Recorder()
+    _build_dialogue(cfg, table, TaskKind.PERSONA, 0, recorder)
+    bounds = np.array(recorder.bounds, dtype=np.int64)
     for task in TaskKind:
         for i in range(cfg.dialogues_per_task):
-            d, cands, exs = _build_dialogue(cfg, table, task, i, seed)
+            draws = _Draws(derive_rng(seed, "dlg", task.value, i).integers(0, bounds).tolist())
+            d, cands, exs = _build_dialogue(cfg, table, task, i, draws)
+            if draws.used != len(bounds):
+                raise ContractError(f"dialogue {d.dialogue_id} used {draws.used} draws, "
+                                    f"its config recorded {len(bounds)}")
             dialogues.append(d)
             for c in cands:
                 pools[task][c.candidate_id] = c

@@ -249,15 +249,22 @@ def load_checkpoint(path) -> Checkpoint:
                                       dtype="<f8").reshape(shape).copy()
                   for name, shape in declared}
     params = {n: a for n, a in arrays.items() if "." not in n}
-    missing = [f"{kind}.{n}" for n in params for kind in "mv"
-               if f"{kind}.{n}" not in arrays]
-    if missing:
-        raise CheckpointError(f"invalid checkpoint header: no moments {missing}")
     rows = params["embedding"].shape[:1] if "embedding" in params else None
     if not (isinstance(tokens, list) and all(isinstance(t, str) for t in tokens)
             and len(set(tokens)) == len(tokens) and rows == (len(tokens),)):
         raise CheckpointError("invalid checkpoint vocabulary: not one distinct "
                               "string per embedding row")
+    # each parameter the config implies, and its two moments, in its shape
+    d = cfg.dim
+    shapes = {"embedding": (len(tokens), d), "ff_weight": (d, d), "ff_bias": (d,),
+              "gate_w": (2 * d,)}
+    if cfg.positions > 0:
+        shapes["position"] = (cfg.positions, d)
+    need = {k + n: shape for k in ("", "m.", "v.") for n, shape in shapes.items()}
+    found = {n: a.shape for n, a in arrays.items()}
+    if found != need:
+        raise CheckpointError(f"invalid checkpoint header: arrays {found} do not "
+                              f"fit its config, which needs {need}")
     return Checkpoint(
         arrays=params,
         moments_m={n: arrays[f"m.{n}"] for n in params},

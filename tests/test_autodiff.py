@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import convret.autodiff as ad
-from convret.errors import ContractError, DimensionError
+from convret.errors import ContractError, DimensionError, EvaluationError
 
 
 def rand_tensor(rng, shape, requires_grad=True):
@@ -258,6 +258,14 @@ def test_shape_errors():
         ad.softmax(ad.Tensor(np.zeros((2, 2))), mask=[[True, False], [False, False]])
     with pytest.raises(DimensionError):
         ad.gather(b, ([0, 1], [1, 2]))
+    for op, args in [(ad.matmul, (ad.Tensor(2.0), a)), (ad.concat, ([],)),
+                     (ad.mean, (ad.Tensor(np.zeros(0)),)), (ad.transpose, (a,)),
+                     (ad.logsumexp, (ad.Tensor(np.zeros((2, 0))),))]:
+        with pytest.raises(DimensionError):
+            op(*args)
+    with pytest.raises(ContractError):
+        a.item()
+    assert repr(a) == "Tensor(shape=(2,), requires_grad=False)"
 
 
 def test_backward_requires_recorded_scalar():
@@ -283,6 +291,21 @@ def test_grad_check_quality_on_square():
 
     err = ad.grad_check(f, {"x": ad.Tensor(3.0, requires_grad=True)}, eps=1e-4)
     assert err < 1e-8
+
+
+def test_grad_check_contract_and_sampled_coordinates():
+    def f(params):
+        tape = ad.Tape()
+        return tape, ad.mean(ad.mul(params["x"], params["x"], tape), tape)
+
+    x = {"x": ad.Tensor([1.0, 2.0, 3.0], requires_grad=True)}
+    for eps in (0.0, -1e-4):
+        with pytest.raises(ContractError, match="eps"):
+            ad.grad_check(f, x, eps=eps)
+    # two of the three coordinates, picked by the default generator
+    assert ad.grad_check(f, x, max_coords=2) < 1e-8
+    with pytest.raises(EvaluationError, match="not finite"):
+        ad.grad_check(f, {"x": ad.Tensor([np.inf], requires_grad=True)})
 
 
 def test_unused_leaf_gets_zero_gradient():

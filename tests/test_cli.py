@@ -181,11 +181,34 @@ def test_missing_file_fails_with_diagnostic(tmp_path, capsys):
     assert "convret:" in stderr
 
 
+def _rename_array(old, new):
+    # a parameter's name changes with its moments' names, a moment's alone
+    def edit(header):
+        for entry in header["arrays"]:
+            if entry[0] in (old, f"m.{old}", f"v.{old}"):
+                entry[0] = entry[0].replace(old, new)
+    return edit
+
+
+def _swap_shapes(a, b):
+    # both arrays keep their bytes; each is read in the other's shape
+    def edit(header):
+        declared = {entry[0]: entry for entry in header["arrays"]}
+        declared[a][1], declared[b][1] = declared[b][1], declared[a][1]
+    return edit
+
+
 def test_invalid_checkpoint_header_fails_with_diagnostic(tmp_path, capsys):
     corpus_path, ckpt = pipeline(tmp_path, capsys)
     blob = ckpt.read_bytes()
+    # the last five leave the arrays out of step with the config
     for edit in (lambda h: h.pop("step"),
-                 lambda h: h["config"]["mode"].update(k=2.5)):
+                 lambda h: h["config"]["mode"].update(k=2.5),
+                 _rename_array("ff_weight", "ff_weigh"),
+                 _rename_array("m.gate_w", "m.gate_x"),
+                 _swap_shapes("ff_bias", "gate_w"),
+                 _swap_shapes("m.ff_bias", "m.gate_w"),
+                 lambda h: h["config"].update(positions=4)):
         ckpt.write_bytes(edit_header(blob, edit))
         code, stdout, stderr = run(capsys, "eval", "--corpus", str(corpus_path),
                                    "--ckpt", str(ckpt), "--task", "persona",

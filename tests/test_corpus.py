@@ -13,7 +13,9 @@ from convret.corpus import (SPECIAL_TOKENS, Candidate, Corpus, Dialogue,
                             split_corpus, split_sessions, write_corpus)
 from convret.errors import (CapacityError, ConfigError, ContractError,
                             IntegrityError, ParseError)
-from convret.generator import GeneratorConfig, generate_synthetic
+from convret import generator
+from convret.generator import (GeneratorConfig, _Draws, _Recorder,
+                               generate_synthetic)
 from convret.training import TrainConfig, initial_checkpoint, save_checkpoint
 
 
@@ -540,6 +542,77 @@ def test_generated_corpus_bytes_are_pinned(tmp_path, name, seed):
     path = tmp_path / "corpus.jsonl"
     write_corpus(generate_synthetic(DIGEST_CONFIGS[name], seed), path)
     assert hashlib.sha256(path.read_bytes()).hexdigest() == GENERATED_DIGESTS[name, seed]
+
+
+# SHA-256 of the write_corpus bytes of the benchmark's two corpora at seed 1
+BENCHMARK_DIGESTS = {
+    "default": "57dfb90d2833a27bf1a1f6c18c50c6d04c80be69a3fbf6f1beafc1b4ad60f4d3",
+    "long-history": "4cf9d32efa0cec0f475df265de789e2900cebd263f5aa9c6bf1cf77a17fbcf73",
+}
+BENCHMARK_CONFIGS = {
+    "default": GeneratorConfig(),
+    "long-history": GeneratorConfig(dialogues_per_task=300, sessions_per_dialogue=8,
+                                    turns_per_session=3),
+}
+
+
+@pytest.mark.parametrize("name", list(BENCHMARK_DIGESTS))
+def test_benchmark_corpus_bytes_are_pinned(tmp_path, name):
+    path = tmp_path / "corpus.jsonl"
+    write_corpus(generate_synthetic(BENCHMARK_CONFIGS[name], 1), path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == BENCHMARK_DIGESTS[name]
+
+
+def test_sampler_replays_the_generators_scalar_calls():
+    """``below`` and ``pick`` over one array-bounded ``integers`` call give
+    what ``integers(m)`` and ``choice(n, k, replace=False)`` give, and leave
+    the generator in the same state."""
+    rng = derive_rng(0, "sampler-cases")
+    cases = [(1, 1), (2, 1), (2, 2), (12, 5), (12, 12), (16, 3),
+             (10_000, 1), (10_000, 200), (10_000, 201), (10_000, 10_000)]
+    for n in rng.integers(1, 10_001, size=40).tolist():
+        cases.append((n, int(rng.integers(1, n + 1))))
+    for case, (n, k) in enumerate(cases):
+        m = case % 7 + 1  # a bound of 1 draws nothing from the stream
+        recorder = _Recorder()
+        recorder.below(m)
+        recorder.pick(n, k)
+        recorder.below(n)
+        ours, theirs = derive_rng(case, "sampler"), derive_rng(case, "sampler")
+        draws = _Draws(ours.integers(0, recorder.bounds).tolist())
+        assert [draws.below(m), draws.pick(n, k), draws.below(n)] == [
+            theirs.integers(m), theirs.choice(n, k, replace=False).tolist(),
+            theirs.integers(n)], (n, k)
+        assert draws.used == len(recorder.bounds)
+        assert ours.bit_generator.state == theirs.bit_generator.state, (n, k)
+
+
+def test_a_dialogue_does_not_depend_on_how_many_follow_it():
+    few = generate_synthetic(small_cfg(dialogues_per_task=3), 4)
+    more = generate_synthetic(small_cfg(dialogues_per_task=5), 4)
+    assert set(few.dialogues) < set(more.dialogues)
+    assert set(few.examples) < set(more.examples)
+    for t in TaskKind:
+        assert few.pools[t].items() < more.pools[t].items()
+
+
+def test_a_dialogue_that_draws_other_than_recorded_is_refused(monkeypatch):
+    build = generator._build_dialogue
+
+    def one_more_draw_at(index):
+        def build_with_extra(cfg, table, task, i, draws):
+            out = build(cfg, table, task, i, draws)
+            if i == index:
+                draws.below(2)
+            return out
+        return build_with_extra
+
+    # dialogue 1 draws past its values; dialogue 1 leaves one of them unused
+    # when the recording (dialogue 0) drew one more
+    for index, message in ((1, "more draws than"), (0, r"used \d+ draws")):
+        monkeypatch.setattr(generator, "_build_dialogue", one_more_draw_at(index))
+        with pytest.raises(ContractError, match=message):
+            generate_synthetic(small_cfg(dialogues_per_task=2), 0)
 
 
 def test_single_turn_dialogue_yields_one_example_without_history():

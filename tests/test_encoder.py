@@ -111,6 +111,8 @@ def test_init_is_seed_deterministic_and_bounded():
     for t in a.tensors().values():
         assert np.all(np.abs(t.values) <= 0.1)
         assert t.requires_grad
+    with pytest.raises(ContractError, match="dimension 0"):
+        make_params(d=0)
 
 
 def test_position_table_changes_encoding_only_when_given():

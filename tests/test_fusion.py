@@ -139,6 +139,8 @@ def test_gate_zero_weight_blends_evenly():
     h_d, lam = gate_fuse(vec(1.0, 0.0), vec(0.0, 1.0), params)
     assert lam.item() == 0.5
     np.testing.assert_allclose(h_d.values, [0.5, 0.5])
+    with pytest.raises(ContractError, match="differ"):
+        gate_fuse(vec(1.0, 0.0), ad.Tensor([[0.0, 1.0]]), params)
 
 
 def test_gate_equal_inputs_are_a_fixed_point():

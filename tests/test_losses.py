@@ -141,6 +141,9 @@ def test_batch_similarities_validation():
         BatchSimilarities(ad.Tensor([1.0]), ad.Tensor([[1.0]]),
                           ad.Tensor([0.0, 0.0]), ad.Tensor([0.0]),
                           np.array([False]))
+    with pytest.raises(DimensionError, match="empty batch"):
+        batch_similarities(ad.Tensor(np.zeros((0, 0))), ad.Tensor(np.zeros(0)),
+                           ad.Tensor(np.zeros(0)), np.zeros(0, dtype=bool))
 
 
 def test_stability_at_extreme_magnitudes():

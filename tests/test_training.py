@@ -115,6 +115,10 @@ def test_config_validation():
         tiny_train_cfg(gamma=-1.0)
     with pytest.raises(ConfigError, match="positions"):
         tiny_train_cfg(positions=-1)
+    with pytest.raises(ConfigError, match="dim"):
+        tiny_train_cfg(dim=0)
+    with pytest.raises(ConfigError, match="weight_decay"):
+        tiny_train_cfg(weight_decay=-1e-3)
     with pytest.raises(ConfigError, match="loss term"):
         tiny_train_cfg(use_hist=False, use_pair=False)
 
@@ -340,6 +344,7 @@ def test_checkpoint_corruption_and_version_errors(tmp_path):
             ("unsigned", blob[:-9], "checksum"),
             ("flipped", blob[:-1] + bytes([blob[-1] ^ 1]), "checksum"),
             ("trunc", resign(blob, lambda body: body[:-9]), "truncated"),
+            ("cut_header", resign(blob, lambda body: body[:20]), "truncated"),
             ("extra", resign(blob, lambda body: body + b"\x00"), "trailing")]:
         (tmp_path / name).write_bytes(data)
         with pytest.raises(CheckpointError, match=message):
@@ -350,6 +355,19 @@ def test_checkpoint_corruption_and_version_errors(tmp_path):
         broken.write_bytes(edit(blob))
         with pytest.raises(CheckpointError, match="header"):
             load_checkpoint(broken)
+    ck.vocab = {tok: 2 * i for tok, i in ck.vocab.items()}
+    with pytest.raises(CheckpointError, match="not contiguous"):
+        save_checkpoint(ck, tmp_path / "gaps.ckpt")
+
+
+def test_non_finite_loss_aborts_with_step_index():
+    corpus = tiny_corpus(dialogues=3)
+    cfg = tiny_train_cfg(batch_size=2)
+    start = initial_checkpoint(corpus, cfg)
+    start.arrays["embedding"][0] = np.inf
+    with np.errstate(invalid="ignore"), pytest.raises(TrainingError,
+                                                      match="loss at step 1"):
+        train(corpus, cfg, start=start)
 
 
 @pytest.mark.parametrize("shape", [[10**7, 10**7], [-3, 2], [2**62]])
