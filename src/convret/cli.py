@@ -115,8 +115,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=sorted(MODES), default=None,
                    help="override the checkpoint's context mode")
     p.add_argument("--k", type=int, default=3)
-    p.add_argument("--json", action="store_true",
-                   help="accepted for compatibility; output is always JSON")
 
     p = sub.add_parser("sweep-pool", help="evaluate across pool sizes")
     _add_checkpoint_options(p)

@@ -248,10 +248,10 @@ def build_corpus(dialogues, pools, examples) -> Corpus:
 # file format: newline-delimited JSON, one record per line
 # ---------------------------------------------------------------------------
 
-def _typed(value, kind: type, what: str):
-    """``value`` if it is a ``kind`` (a bool is no int), else TypeError."""
+def _typed(value, kind: type, what: str, error: type[Exception] = TypeError):
+    """``value`` if it is a ``kind`` (a bool is no int), else ``error``."""
     if not isinstance(value, kind) or kind is int and isinstance(value, bool):
-        raise TypeError(f"{what} is {type(value).__name__}, not {kind.__name__}")
+        raise error(f"{what} is {type(value).__name__}, not {kind.__name__}")
     return value
 
 

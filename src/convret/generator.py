@@ -41,11 +41,8 @@ class GeneratorConfig:
         # each field has its default's type, int (a bool is no int) or bool,
         # and every count is at least 1
         for f in fields(self):
-            value = getattr(self, f.name)
-            try:
-                _typed(value, type(f.default), f.name)
-            except TypeError as exc:
-                raise ConfigError(str(exc)) from exc
+            value = _typed(getattr(self, f.name), type(f.default), f.name,
+                           ConfigError)
             if type(f.default) is int and value < 1:
                 raise ConfigError(f"{f.name} must be at least 1")
         if self.utterance_words > self.words_per_topic:

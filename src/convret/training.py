@@ -4,10 +4,10 @@ Determinism is the organizing principle: the shuffle and the easy negatives
 of each task and epoch come from a generator derived from (seed, tags), not
 from RNG state carried across epochs, so a resumed run replays the exact
 remaining schedule and reproduces an uninterrupted run bit for bit.
-Checkpoints are a versioned binary format (magic "UCR2") holding the
+Checkpoints are a versioned binary format (magic "UCR3") holding the
 config, the vocabulary, and all parameter and optimizer-moment arrays as
-little-endian float64 in a declared order, followed by the SHA-256 of every
-byte before it, which loading checks before it parses anything.
+little-endian float64 in ``param_shapes`` order, followed by the SHA-256 of
+every byte before it, which loading checks before it parses anything.
 """
 
 from __future__ import annotations
@@ -20,12 +20,12 @@ import itertools
 import json
 import math
 import struct
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
 from . import autodiff as ad
-from .corpus import (Corpus, TaskKind, TrainingInputs, derive_rng,
+from .corpus import (Corpus, TaskKind, TrainingInputs, _typed, derive_rng,
                      replace_on_success)
 from .encoder import EncoderParams, encode_batch, init_encoder_params
 from .errors import CheckpointError, ConfigError, TrainingError
@@ -33,7 +33,7 @@ from .fusion import (ContextMode, FusionParams, ModeKind, encode_contexts,
                      init_fusion_params)
 from .losses import LossConfig, batch_similarities, combined_loss
 
-CHECKPOINT_MAGIC = b"UCR2"
+CHECKPOINT_MAGIC = b"UCR3"
 CHECKSUM_BYTES = 32  # SHA-256 of every byte before it, at the end of the file
 
 
@@ -59,6 +59,10 @@ class TrainConfig:
     positions: int = 0  # discourse-position table size, 0 disables it
 
     def __post_init__(self):
+        for f in fields(self):
+            # each int or bool field has its default's type
+            if type(f.default) in (int, bool):
+                _typed(getattr(self, f.name), type(f.default), f.name, ConfigError)
         if self.epochs < 0:
             raise ConfigError(f"epochs {self.epochs} is negative")
         if self.batch_size < 1:
@@ -144,7 +148,7 @@ def schedule_lr(cfg: TrainConfig, step: int, total_steps: int) -> float:
 @dataclass
 class Checkpoint:
     """The model: parameters, their optimizer moments, vocabulary, config, step."""
-    arrays: dict[str, np.ndarray]  # parameters, fixed declared order
+    arrays: dict[str, np.ndarray]  # parameters, in ``param_shapes`` order
     moments_m: dict[str, np.ndarray]
     moments_v: dict[str, np.ndarray]
     vocab: dict[str, int]
@@ -158,6 +162,17 @@ class Checkpoint:
     def views(self) -> tuple[EncoderParams, FusionParams]:
         """Encoder and fusion parameters viewing this checkpoint's arrays."""
         return param_views(self.tensors(), self.vocab)
+
+
+def param_shapes(cfg: TrainConfig, vocab_size: int) -> dict[str, tuple[int, ...]]:
+    """Each parameter's shape by name, in checkpoint order: the config's
+    ``dim`` and ``positions`` and the vocabulary size fix the whole model."""
+    d = cfg.dim
+    shapes = {"embedding": (vocab_size, d), "ff_weight": (d, d), "ff_bias": (d,)}
+    if cfg.positions > 0:
+        shapes["position"] = (cfg.positions, d)
+    shapes["gate_w"] = (2 * d,)
+    return shapes
 
 
 def param_views(params: dict[str, ad.Tensor],
@@ -185,19 +200,20 @@ def _read_record(fh) -> bytes:
 
 
 def save_checkpoint(ck: Checkpoint, path) -> None:
-    order = list(ck.arrays)
-    declared = ([[n, list(ck.arrays[n].shape)] for n in order]
-                + [[f"m.{n}", list(ck.moments_m[n].shape)] for n in order]
-                + [[f"v.{n}", list(ck.moments_v[n].shape)] for n in order])
-    header = {"config": ck.cfg.to_dict(), "step": ck.step, "arrays": declared}
     ids = sorted(ck.vocab.values())
     if ids != list(range(len(ck.vocab))):
         raise CheckpointError("vocabulary ids are not contiguous")
+    shapes = param_shapes(ck.cfg, len(ck.vocab))
+    groups = (ck.arrays, ck.moments_m, ck.moments_v)
+    if any({n: a.shape for n, a in group.items()} != shapes for group in groups):
+        raise CheckpointError(
+            f"checkpoint arrays do not fit its config, which needs {shapes}")
+    header = {"config": ck.cfg.to_dict(), "step": ck.step}
     tokens = sorted(ck.vocab, key=ck.vocab.get)
     records = [json.dumps(header, sort_keys=True, separators=(",", ":")).encode(),
                json.dumps(tokens, ensure_ascii=False, separators=(",", ":")).encode()]
     arrays = (np.ascontiguousarray(group[n], dtype="<f8").tobytes()
-              for group in (ck.arrays, ck.moments_m, ck.moments_v) for n in order)
+              for group in groups for n in shapes)
     digest = hashlib.sha256()
     with replace_on_success(path, "wb") as fh:
         for part in itertools.chain([CHECKPOINT_MAGIC], map(_record, records), arrays):
@@ -225,8 +241,6 @@ def load_checkpoint(path) -> Checkpoint:
         except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise CheckpointError(f"corrupt checkpoint header: {exc}") from exc
         try:
-            declared = [(str(name), [int(n) for n in shape])
-                        for name, shape in header["arrays"]]
             cfg = TrainConfig.from_dict(header["config"])
             step = header["step"]
             if type(step) is not int or step < 0:
@@ -234,43 +248,30 @@ def load_checkpoint(path) -> Checkpoint:
         except (KeyError, TypeError, ValueError, ConfigError) as exc:
             raise CheckpointError(
                 f"invalid checkpoint header: {type(exc).__name__}: {exc}") from exc
-        # every declared size must fit the bytes left before any is read
-        left = end - fh.tell()
-        for name, shape in declared:
-            if not all(0 <= n <= left for n in shape):
-                raise CheckpointError(
-                    f"invalid checkpoint header: array {name} has shape {shape}")
-        size = 8 * sum(math.prod(shape) for _, shape in declared)
+        if not (isinstance(tokens, list) and all(isinstance(t, str) for t in tokens)
+                and len(set(tokens)) == len(tokens)):
+            raise CheckpointError(
+                "invalid checkpoint vocabulary: not a list of distinct strings")
+        # the config's arrays must fill the bytes left before any is read
+        shapes = param_shapes(cfg, len(tokens))
+        size, left = 3 * 8 * sum(map(math.prod, shapes.values())), end - fh.tell()
         if size != left:
             raise CheckpointError(
-                f"truncated checkpoint file: arrays need {size} bytes, {left} left"
-                if size > left else "trailing bytes after declared arrays")
-        arrays = {name: np.frombuffer(_read_exact(fh, 8 * math.prod(shape)),
-                                      dtype="<f8").reshape(shape).copy()
-                  for name, shape in declared}
-    params = {n: a for n, a in arrays.items() if "." not in n}
-    rows = params["embedding"].shape[:1] if "embedding" in params else None
-    if not (isinstance(tokens, list) and all(isinstance(t, str) for t in tokens)
-            and len(set(tokens)) == len(tokens) and rows == (len(tokens),)):
-        raise CheckpointError("invalid checkpoint vocabulary: not one distinct "
-                              "string per embedding row")
-    # each parameter the config implies, and its two moments, in its shape
-    d = cfg.dim
-    shapes = {"embedding": (len(tokens), d), "ff_weight": (d, d), "ff_bias": (d,),
-              "gate_w": (2 * d,)}
-    if cfg.positions > 0:
-        shapes["position"] = (cfg.positions, d)
-    need = {k + n: shape for k in ("", "m.", "v.") for n, shape in shapes.items()}
-    found = {n: a.shape for n, a in arrays.items()}
-    if found != need:
-        raise CheckpointError(f"invalid checkpoint header: arrays {found} do not "
-                              f"fit its config, which needs {need}")
-    return Checkpoint(
-        arrays=params,
-        moments_m={n: arrays[f"m.{n}"] for n in params},
-        moments_v={n: arrays[f"v.{n}"] for n in params},
-        vocab={tok: i for i, tok in enumerate(tokens)},
-        cfg=cfg, step=step)
+                "invalid checkpoint header or "
+                f"{'truncated file' if size > left else 'trailing bytes'}: "
+                f"its config's arrays need {size} bytes, {left} left")
+        groups = [{n: np.frombuffer(fh.read(8 * math.prod(shape)),
+                                    dtype="<f8").reshape(shape).copy()
+                   for n, shape in shapes.items()} for _ in range(3)]
+    for prefix, group in zip(("", "m.", "v."), groups):
+        for n, a in group.items():
+            if not np.isfinite(a).all():
+                raise CheckpointError(
+                    f"non-finite value in checkpoint array {prefix}{n}")
+    params, moments_m, moments_v = groups
+    return Checkpoint(arrays=params, moments_m=moments_m, moments_v=moments_v,
+                      vocab={tok: i for i, tok in enumerate(tokens)},
+                      cfg=cfg, step=step)
 
 
 # ---------------------------------------------------------------------------
@@ -327,10 +328,6 @@ def _epoch_batches(inputs: TrainingInputs, tasks: dict[TaskKind, np.ndarray],
 
 def _steps(tasks: dict[TaskKind, np.ndarray], cfg: TrainConfig) -> int:
     return sum(rows.size // cfg.batch_size for rows in tasks.values())
-
-
-def steps_per_epoch(corpus: Corpus, cfg: TrainConfig) -> int:
-    return _steps(_task_examples(corpus, cfg), cfg)
 
 
 def _batch_loss(inputs: TrainingInputs, task: TaskKind, batch: np.ndarray,
@@ -397,10 +394,11 @@ def train(corpus: Corpus, cfg: TrainConfig, start: Checkpoint | None = None,
 def initial_checkpoint(corpus: Corpus, cfg: TrainConfig) -> Checkpoint:
     """Untrained checkpoint at the config's initialization; works on any
     corpus, including one with too few examples to train on."""
+    shapes = param_shapes(cfg, len(corpus.vocab))
     enc = init_encoder_params(corpus.vocab, d=cfg.dim, seed=cfg.seed,
                               positions=cfg.positions)
     init = {**enc.tensors(), **init_fusion_params(cfg.dim, cfg.seed).tensors()}
-    return Checkpoint(arrays={n: t.values.copy() for n, t in init.items()},
-                      moments_m={n: np.zeros(t.shape) for n, t in init.items()},
-                      moments_v={n: np.zeros(t.shape) for n, t in init.items()},
+    return Checkpoint(arrays={n: init[n].values.copy() for n in shapes},
+                      moments_m={n: np.zeros(s) for n, s in shapes.items()},
+                      moments_v={n: np.zeros(s) for n, s in shapes.items()},
                       vocab=dict(corpus.vocab), cfg=cfg, step=0)

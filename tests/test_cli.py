@@ -9,9 +9,9 @@ from convret import evaluation
 from convret.cli import _csv_ints, build_parser, main
 from convret.corpus import TaskKind, derive_rng, load_corpus
 from convret.evaluation import evaluate
-from convret.training import load_checkpoint
+from convret.training import load_checkpoint, save_checkpoint
 
-from test_training import edit_header, resign
+from test_training import IMPOSSIBLE_SHAPES, edit_header, resign
 
 GEN = ["gen-data", "--topics", "6", "--dialogues-per-task", "12",
        "--sessions", "2", "--turns", "2", "--entities", "8", "--seed", "3"]
@@ -82,7 +82,7 @@ def test_eval_json_matches_library_call(tmp_path, capsys):
     corpus_path, ckpt = pipeline(tmp_path, capsys)
     code, stdout, _ = run(capsys, "eval", "--corpus", str(corpus_path),
                           "--ckpt", str(ckpt), "--task", "persona",
-                          "--pool-size", "8", "--seed", "7", "--json")
+                          "--pool-size", "8", "--seed", "7")
     assert code == 0
     doc = json.loads(stdout)
     report = evaluate(load_corpus(corpus_path), load_checkpoint(ckpt),
@@ -181,34 +181,18 @@ def test_missing_file_fails_with_diagnostic(tmp_path, capsys):
     assert "convret:" in stderr
 
 
-def _rename_array(old, new):
-    # a parameter's name changes with its moments' names, a moment's alone
-    def edit(header):
-        for entry in header["arrays"]:
-            if entry[0] in (old, f"m.{old}", f"v.{old}"):
-                entry[0] = entry[0].replace(old, new)
-    return edit
-
-
-def _swap_shapes(a, b):
-    # both arrays keep their bytes; each is read in the other's shape
-    def edit(header):
-        declared = {entry[0]: entry for entry in header["arrays"]}
-        declared[a][1], declared[b][1] = declared[b][1], declared[a][1]
-    return edit
-
-
 def test_invalid_checkpoint_header_fails_with_diagnostic(tmp_path, capsys):
     corpus_path, ckpt = pipeline(tmp_path, capsys)
     blob = ckpt.read_bytes()
-    # the last five leave the arrays out of step with the config
+    # the last four configs imply other arrays than the file holds, or
+    # give an int field another type
     for edit in (lambda h: h.pop("step"),
                  lambda h: h["config"]["mode"].update(k=2.5),
-                 _rename_array("ff_weight", "ff_weigh"),
-                 _rename_array("m.gate_w", "m.gate_x"),
-                 _swap_shapes("ff_bias", "gate_w"),
-                 _swap_shapes("m.ff_bias", "m.gate_w"),
-                 lambda h: h["config"].update(positions=4)):
+                 lambda h: h["config"].update(positions=4),
+                 lambda h: h["config"].update(dim=h["config"]["dim"] + 1),
+                 lambda h: h["config"].update(dim=float(h["config"]["dim"])),
+                 lambda h: h["config"].update(epochs=1.5),
+                 lambda h: h["config"].update(use_pair=1)):
         ckpt.write_bytes(edit_header(blob, edit))
         code, stdout, stderr = run(capsys, "eval", "--corpus", str(corpus_path),
                                    "--ckpt", str(ckpt), "--task", "persona",
@@ -306,17 +290,34 @@ def test_invalid_pool_size_fails_with_one_line(tmp_path, capsys):
         assert size in stderr
 
 
-@pytest.mark.parametrize("shape", [[10**7, 10**7], [-3, 2], [2**62]])
+@pytest.mark.parametrize("shape", IMPOSSIBLE_SHAPES)
 def test_impossible_checkpoint_shape_fails_with_one_line(tmp_path, capsys, shape):
     corpus_path, ckpt = pipeline(tmp_path, capsys)
     ckpt.write_bytes(edit_header(ckpt.read_bytes(),
-                                  lambda h: h["arrays"][0].__setitem__(1, shape)))
+                                  lambda h: h["config"].update(shape)))
     code, stdout, stderr = run(capsys, "eval", "--corpus", str(corpus_path),
                                "--ckpt", str(ckpt), "--task", "persona")
     assert code == 1
     assert stdout == ""
     assert stderr.startswith("convret: invalid checkpoint header")
     assert stderr.count("\n") == 1
+
+
+@pytest.mark.parametrize("name,value", [("ff_weight", float("nan")),
+                                        ("m.ff_bias", float("inf"))])
+def test_non_finite_checkpoint_array_fails_with_one_line(tmp_path, capsys,
+                                                         name, value):
+    corpus_path, ckpt = pipeline(tmp_path, capsys)
+    ck = load_checkpoint(ckpt)
+    group = ck.moments_m if name.startswith("m.") else ck.arrays
+    group[name.removeprefix("m.")].flat[1] = value
+    save_checkpoint(ck, ckpt)
+    code, stdout, stderr = run(capsys, "eval", "--corpus", str(corpus_path),
+                               "--ckpt", str(ckpt), "--task", "persona",
+                               "--pool-size", "8")
+    assert code == 1
+    assert stdout == ""
+    assert stderr == f"convret: non-finite value in checkpoint array {name}\n"
 
 
 @pytest.mark.parametrize("flag,value", [

@@ -21,8 +21,8 @@ from convret.generator import GeneratorConfig, generate_synthetic
 from convret.training import (Checkpoint, Schedule, TrainConfig,
                               _epoch_batches, _steps, _task_examples,
                               initial_checkpoint, load_checkpoint,
-                              optimizer_step, save_checkpoint, schedule_lr,
-                              steps_per_epoch, train)
+                              optimizer_step, param_shapes, save_checkpoint,
+                              schedule_lr, train)
 
 
 def tiny_corpus(dialogues=12, seed=0, sessions=3):
@@ -121,6 +121,13 @@ def test_config_validation():
         tiny_train_cfg(weight_decay=-1e-3)
     with pytest.raises(ConfigError, match="loss term"):
         tiny_train_cfg(use_hist=False, use_pair=False)
+    # int fields take ints and bool fields bools; float fields take either
+    for field, value in [("epochs", 1.5), ("batch_size", 2.0), ("seed", "0"),
+                         ("dim", 8.0), ("positions", True), ("use_hist", 1),
+                         ("use_pair", None)]:
+        with pytest.raises(ConfigError, match=f"{field} is "):
+            tiny_train_cfg(**{field: value})
+    assert tiny_train_cfg(learning_rate=1, gamma=2, weight_decay=0).gamma == 2
 
 
 # ---------------------------------------------------------------------------
@@ -155,7 +162,7 @@ def test_training_decreases_loss_and_updates_every_parameter():
     cfg = tiny_train_cfg(epochs=4, learning_rate=3e-3)
     ck, history = train(corpus, cfg)
     assert all(np.isfinite(v) for v in history)
-    assert ck.step == len(history) == 4 * steps_per_epoch(corpus, cfg)
+    assert ck.step == len(history) == 4 * _steps(_task_examples(corpus, cfg), cfg)
     k = min(10, len(history) // 2)
     assert np.mean(history[-k:]) < np.mean(history[:k])
     init = initial_checkpoint(corpus, cfg)
@@ -336,9 +343,10 @@ def test_checkpoint_corruption_and_version_errors(tmp_path):
     with pytest.raises(CheckpointError, match="magic"):
         load_checkpoint(bad)
     old = tmp_path / "old.ckpt"
-    old.write_bytes(b"UCR1" + blob[4:])
-    with pytest.raises(CheckpointError, match="incompatible checkpoint version"):
-        load_checkpoint(old)
+    for magic in (b"UCR1", b"UCR2"):
+        old.write_bytes(magic + blob[4:])
+        with pytest.raises(CheckpointError, match="incompatible checkpoint version"):
+            load_checkpoint(old)
     for name, data, message in [
             ("short", blob[:35], "truncated"),
             ("unsigned", blob[:-9], "checksum"),
@@ -370,15 +378,49 @@ def test_non_finite_loss_aborts_with_step_index():
         train(corpus, cfg, start=start)
 
 
-@pytest.mark.parametrize("shape", [[10**7, 10**7], [-3, 2], [2**62]])
-def test_impossible_array_shapes_are_rejected_before_reading(tmp_path, shape):
+# config edits whose arrays could not exist; "shape" names what each implies
+IMPOSSIBLE_SHAPES = [{"dim": 10**7}, {"dim": 2**62}, {"positions": 2**62},
+                     {"positions": -3}]
+
+
+@pytest.mark.parametrize("shape", IMPOSSIBLE_SHAPES)
+def test_impossible_array_shapes_are_rejected_before_reading(tmp_path,
+                                                             monkeypatch, shape):
     corpus = tiny_corpus(dialogues=3)
     p = tmp_path / "model.ckpt"
     save_checkpoint(initial_checkpoint(corpus, tiny_train_cfg()), p)
-    p.write_bytes(edit_header(p.read_bytes(),
-                               lambda h: h["arrays"][0].__setitem__(1, shape)))
-    with pytest.raises(CheckpointError, match="header"):
+    p.write_bytes(edit_header(p.read_bytes(), lambda h: h["config"].update(shape)))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("an array was read")
+
+    monkeypatch.setattr(np, "frombuffer", refuse)
+    with pytest.raises(CheckpointError, match="invalid checkpoint header"):
         load_checkpoint(p)
+
+
+@pytest.mark.parametrize("positions", [0, 3])
+def test_save_refuses_arrays_that_do_not_fit_the_config(tmp_path, positions):
+    corpus = tiny_corpus(dialogues=3)
+    cfg = tiny_train_cfg(positions=positions)
+    ck = initial_checkpoint(corpus, cfg)
+    assert all(list(group) == list(param_shapes(cfg, len(corpus.vocab)))
+               for group in (ck.arrays, ck.moments_m, ck.moments_v))
+    p = tmp_path / "model.ckpt"
+    spoils = [lambda c: c.arrays.pop("ff_bias"),
+              lambda c: c.moments_v.update(extra=np.zeros(2)),
+              lambda c: c.moments_m.update(gate_w=np.zeros(3)),
+              lambda c: c.arrays.update(embedding=c.arrays["embedding"][:-1]),
+              lambda c: setattr(c, "cfg", replace(cfg, dim=cfg.dim + 1)),
+              lambda c: setattr(c, "cfg", replace(cfg, positions=4 - positions))]
+    for spoil in spoils:
+        bad = copy.deepcopy(ck)
+        spoil(bad)
+        with pytest.raises(CheckpointError, match="do not fit its config"):
+            save_checkpoint(bad, p)
+        assert not p.exists()
+    save_checkpoint(ck, p)
+    assert p.exists()
 
 
 def resign(blob: bytes, edit) -> bytes:
@@ -453,7 +495,7 @@ def test_resume_equals_uninterrupted_run(tmp_path, stop):
     corpus = tiny_corpus()
     cfg = tiny_train_cfg(epochs=2, schedule=Schedule.LINEAR_DECAY)
     full_ck, full_hist = train(corpus, cfg)
-    per_epoch = steps_per_epoch(corpus, cfg)
+    per_epoch = _steps(_task_examples(corpus, cfg), cfg)
     assert len(full_hist) == 2 * per_epoch and per_epoch > 3
 
     part_ck, part_hist = train(corpus, cfg, max_steps=stop(per_epoch))
